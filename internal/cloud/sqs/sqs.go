@@ -59,8 +59,8 @@ var (
 	ErrMessageTooLong = errors.New("MessageTooLong")
 	// ErrInvalidMessage is returned for non-UTF-8 (non-Unicode) bodies.
 	ErrInvalidMessage = errors.New("InvalidMessageContents")
-	// ErrInvalidReceipt is returned by DeleteMessage for unknown or
-	// expired receipt handles.
+	// ErrInvalidReceipt is returned by DeleteMessage for an empty
+	// receipt handle. Unknown and stale handles succeed idempotently.
 	ErrInvalidReceipt = errors.New("ReceiptHandleIsInvalid")
 	// ErrInvalidName is returned for malformed queue names.
 	ErrInvalidName = errors.New("InvalidParameterValue")
@@ -115,6 +115,9 @@ type message struct {
 type queue struct {
 	name     string
 	messages map[string]*message // by message id
+	// receipts maps each message's current receipt handle to its id, so
+	// DeleteMessage finds its target without scanning the queue.
+	receipts map[string]string
 	nextSeq  int64
 	// oldestSent lower-bounds the send time of every live message, so the
 	// retention reaper can skip scanning until something could actually
@@ -153,6 +156,8 @@ type Service struct {
 	mu     sync.Mutex
 	queues map[string]*queue
 	nextID int64
+	// pick selects a receive batch; oldestVisible outside tests.
+	pick func(q *queue, sampled []bool, now time.Time, max int) []*message
 }
 
 // New returns an empty SQS service.
@@ -184,7 +189,7 @@ func New(cfg Config) *Service {
 	if cfg.Retention <= 0 {
 		cfg.Retention = RetentionPeriod
 	}
-	return &Service{cfg: cfg, queues: make(map[string]*queue)}
+	return &Service{cfg: cfg, queues: make(map[string]*queue), pick: oldestVisible}
 }
 
 // Meter returns the service's billing meter.
@@ -205,7 +210,7 @@ func (s *Service) CreateQueue(name string) error {
 	if _, ok := s.queues[name]; ok {
 		return opErr("CreateQueue", name, ErrQueueExists)
 	}
-	s.queues[name] = &queue{name: name, messages: make(map[string]*message)}
+	s.queues[name] = &queue{name: name, messages: make(map[string]*message), receipts: make(map[string]string)}
 	return nil
 }
 
@@ -334,33 +339,19 @@ func (s *Service) ReceiveMessage(queueName string, max int, visibility time.Dura
 	now := s.cfg.Clock.Now()
 
 	// Sample a subset of servers; only their messages are candidates.
-	sampled := make(map[int]bool, s.cfg.SampleSize)
+	sampled := make([]bool, s.cfg.Servers)
 	for _, idx := range s.cfg.RNG.Perm(s.cfg.Servers)[:s.cfg.SampleSize] {
 		sampled[idx] = true
 	}
-
-	// Collect candidates in arrival order (best-effort ordering).
-	var candidates []*message
-	for _, m := range q.messages {
-		if sampled[m.server] && !m.invisibleTill.After(now) {
-			candidates = append(candidates, m)
-		}
-	}
-	sort.Slice(candidates, func(i, j int) bool {
-		if !candidates[i].sentAt.Equal(candidates[j].sentAt) {
-			return candidates[i].sentAt.Before(candidates[j].sentAt)
-		}
-		return candidates[i].id < candidates[j].id
-	})
-	if len(candidates) > max {
-		candidates = candidates[:max]
-	}
+	candidates := s.pick(q, sampled, now, max)
 
 	var out []Message
 	var outBytes int64
 	for _, m := range candidates {
 		m.invisibleTill = now.Add(visibility)
+		delete(q.receipts, m.receipt)
 		m.receipt = s.cfg.RNG.Hex(16)
+		q.receipts[m.receipt] = m.id
 		m.receiveCount++
 		out = append(out, Message{
 			ID:            m.id,
@@ -383,9 +374,10 @@ func (s *Service) ReceiveMessage(queueName string, max int, visibility time.Dura
 }
 
 // DeleteMessage removes a message using the receipt handle from its most
-// recent receive. Deleting with a stale handle (the message was redelivered
-// elsewhere meanwhile) fails with ErrInvalidReceipt; deleting an
-// already-deleted message is idempotent and succeeds.
+// recent receive. A handle that matches no message — the message was
+// already deleted, or was redelivered meanwhile so the handle is stale —
+// succeeds without effect, as in real SQS; only an empty handle fails
+// with ErrInvalidReceipt.
 func (s *Service) DeleteMessage(queueName, receiptHandle string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -405,21 +397,15 @@ func (s *Service) DeleteMessage(queueName, receiptHandle string) error {
 	s.cfg.Meter.Op(billing.SQS, "DeleteMessage", billing.TierMessage)
 	// Under ack loss the delete still applies below; a retried delete of the
 	// now-missing handle succeeds idempotently.
-	for id, m := range q.messages {
-		if m.receipt == receiptHandle {
-			s.cfg.Meter.StorageDelta(billing.SQS, -int64(len(m.body)))
-			delete(q.messages, id)
-			if ackLoss {
-				return opErr("DeleteMessage", queueName, awserr.ErrRequestTimeout)
-			}
-			return nil
-		}
+	if id, ok := q.receipts[receiptHandle]; ok {
+		s.cfg.Meter.StorageDelta(billing.SQS, -int64(len(q.messages[id].body)))
+		delete(q.messages, id)
+		delete(q.receipts, receiptHandle)
 	}
 	if ackLoss {
 		return opErr("DeleteMessage", queueName, awserr.ErrRequestTimeout)
 	}
-	// Unknown handle: either already deleted (fine, idempotent) or stale.
-	// Without the original message there is no way to distinguish; real SQS
+	// An unknown handle is either already deleted or stale. Real SQS
 	// succeeds in both cases, and the WAL protocol depends on re-deletes
 	// being harmless.
 	return nil
@@ -493,6 +479,7 @@ func (s *Service) reapExpired(q *queue) {
 		if now.Sub(m.sentAt) > s.cfg.Retention {
 			s.cfg.Meter.StorageDelta(billing.SQS, -int64(len(m.body)))
 			delete(q.messages, id)
+			delete(q.receipts, m.receipt)
 			continue
 		}
 		if oldest.IsZero() || m.sentAt.Before(oldest) {
@@ -500,4 +487,35 @@ func (s *Service) reapExpired(q *queue) {
 		}
 	}
 	q.oldestSent = oldest
+}
+
+// oldestVisible selects the receive batch: the first max visible messages
+// on the sampled servers in arrival order, (sentAt, id) ascending. It
+// keeps a bounded sorted window instead of sorting every candidate, so a
+// receive costs one pass over the queue.
+func oldestVisible(q *queue, sampled []bool, now time.Time, max int) []*message {
+	batch := make([]*message, 0, max)
+	for _, m := range q.messages {
+		if !sampled[m.server] || m.invisibleTill.After(now) {
+			continue
+		}
+		if len(batch) == max && !arrivedBefore(m, batch[max-1]) {
+			continue
+		}
+		i := sort.Search(len(batch), func(i int) bool { return arrivedBefore(m, batch[i]) })
+		if len(batch) < max {
+			batch = append(batch, nil)
+		}
+		copy(batch[i+1:], batch[i:len(batch)-1])
+		batch[i] = m
+	}
+	return batch
+}
+
+// arrivedBefore orders messages by send time, then id.
+func arrivedBefore(a, b *message) bool {
+	if !a.sentAt.Equal(b.sentAt) {
+		return a.sentAt.Before(b.sentAt)
+	}
+	return a.id < b.id
 }

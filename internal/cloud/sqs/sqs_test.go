@@ -3,6 +3,9 @@ package sqs
 import (
 	"errors"
 	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -391,4 +394,123 @@ func TestConcurrentProducersConsumers(t *testing.T) {
 			t.Fatalf("message %q processed %d times despite visibility lock", body, count)
 		}
 	}
+}
+
+// fullSortPick is the reference receive selection: collect every visible
+// candidate on the sampled servers, sort them all by (sentAt, id), keep
+// the first max.
+func fullSortPick(q *queue, sampled []bool, now time.Time, max int) []*message {
+	var candidates []*message
+	for _, m := range q.messages {
+		if sampled[m.server] && !m.invisibleTill.After(now) {
+			candidates = append(candidates, m)
+		}
+	}
+	sort.Slice(candidates, func(i, j int) bool {
+		if !candidates[i].sentAt.Equal(candidates[j].sentAt) {
+			return candidates[i].sentAt.Before(candidates[j].sentAt)
+		}
+		return candidates[i].id < candidates[j].id
+	})
+	if len(candidates) > max {
+		candidates = candidates[:max]
+	}
+	return candidates
+}
+
+// drainTranscript drives one seeded send/receive/delete/advance mix
+// through a service using pick for receive selection, and returns every
+// observable result plus the final meter.
+func drainTranscript(seed int64, pick func(*queue, []bool, time.Time, int) []*message) (string, billing.Usage, map[string]int) {
+	clock := sim.NewVirtualClock()
+	meter := &billing.Meter{}
+	svc := New(Config{
+		Servers: 4, SampleSize: 2, VisibilityTimeout: 30 * time.Second,
+		Retention: 20 * time.Minute,
+		Clock:     clock, RNG: sim.NewRNG(seed), Meter: meter,
+	})
+	svc.pick = pick
+	if err := svc.CreateQueue("wal"); err != nil {
+		panic(err)
+	}
+	drive := rand.New(rand.NewSource(seed))
+	var out strings.Builder
+	var handles []string
+	coverage := make(map[string]int)
+	for step := 0; step < 3000; step++ {
+		switch op := drive.Intn(10); {
+		case op < 4:
+			id, err := svc.SendMessage("wal", strings.Repeat("x", 1+drive.Intn(64)))
+			fmt.Fprintf(&out, "send %s %v\n", id, err)
+		case op < 7:
+			vis := []time.Duration{0, time.Second, 2 * time.Minute}[drive.Intn(3)]
+			batch, err := svc.ReceiveMessage("wal", 1+drive.Intn(MaxReceiveBatch), vis)
+			fmt.Fprintf(&out, "recv %v", err)
+			for _, m := range batch {
+				fmt.Fprintf(&out, " %s/%s/%d", m.ID, m.ReceiptHandle, m.ReceiveCount)
+				handles = append(handles, m.ReceiptHandle)
+				if m.ReceiveCount > 1 {
+					coverage["redelivery"]++
+				}
+			}
+			out.WriteByte('\n')
+		case op < 9:
+			if len(handles) == 0 {
+				continue
+			}
+			// Mostly fresh handles, sometimes a stale or re-used one.
+			i := len(handles) - 1 - drive.Intn(min(len(handles), 8))
+			if drive.Intn(4) == 0 {
+				i = drive.Intn(len(handles))
+			}
+			before, _ := svc.Exact("wal")
+			err := svc.DeleteMessage("wal", handles[i])
+			after, _ := svc.Exact("wal")
+			if err == nil && after == before {
+				coverage["stale-or-repeat"]++
+			}
+			fmt.Fprintf(&out, "del %s %v %d\n", handles[i], err, after)
+		default:
+			d := time.Duration(drive.Intn(90)) * time.Second
+			before, _ := svc.Exact("wal")
+			clock.Advance(d)
+			after, _ := svc.Exact("wal")
+			if after < before {
+				coverage["reaped"]++
+			}
+			fmt.Fprintf(&out, "advance %v %d\n", d, after)
+		}
+	}
+	return out.String(), meter.Snapshot(), coverage
+}
+
+// TestReceiveSelectionMatchesFullSort pins the bounded top-k receive
+// selection and the receipt index to the reference full-sort scan: the
+// same seeded mix of sends, sampled receives, visibility timeouts,
+// redeliveries, stale and repeated deletes and retention reaping yields
+// identical batches, receipts, RNG draws and meters.
+func TestReceiveSelectionMatchesFullSort(t *testing.T) {
+	for _, seed := range []int64{1, 7, 42, 2009} {
+		got, gotUse, cov := drainTranscript(seed, oldestVisible)
+		want, wantUse, _ := drainTranscript(seed, fullSortPick)
+		if got != want {
+			t.Fatalf("seed %d: transcripts differ:\n%s", seed, firstDiff(got, want))
+		}
+		if !reflect.DeepEqual(gotUse, wantUse) {
+			t.Fatalf("seed %d: meters differ:\n got %v\nwant %v", seed, gotUse, wantUse)
+		}
+		if cov["redelivery"] == 0 || cov["stale-or-repeat"] == 0 || cov["reaped"] == 0 {
+			t.Fatalf("seed %d: scenario did not exercise redelivery, stale deletes and reaping: %v", seed, cov)
+		}
+	}
+}
+
+func firstDiff(a, b string) string {
+	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
+	for i := range min(len(al), len(bl)) {
+		if al[i] != bl[i] {
+			return fmt.Sprintf("line %d:\n got %s\nwant %s", i, al[i], bl[i])
+		}
+	}
+	return fmt.Sprintf("lengths %d vs %d", len(al), len(bl))
 }

@@ -135,41 +135,6 @@ func DedupRecords(records []prov.Record) []prov.Record {
 	return out
 }
 
-// MerkleRoot folds a set of subject leaves into one commitment root:
-// leaves are sorted and deduplicated (set semantics again), then reduced
-// pairwise. The empty set has the distinguished root "empty".
-func MerkleRoot(leaves []string) string {
-	if len(leaves) == 0 {
-		return "empty"
-	}
-	level := append([]string(nil), leaves...)
-	sort.Strings(level)
-	level = dedupSorted(level)
-	for len(level) > 1 {
-		next := make([]string, 0, (len(level)+1)/2)
-		for i := 0; i < len(level); i += 2 {
-			if i+1 == len(level) {
-				next = append(next, level[i])
-				continue
-			}
-			h := sha256.Sum256([]byte(level[i] + level[i+1]))
-			next = append(next, hex.EncodeToString(h[:])[:hashHexLen])
-		}
-		level = next
-	}
-	return level[0]
-}
-
-func dedupSorted(s []string) []string {
-	out := s[:0]
-	for i, v := range s {
-		if i == 0 || v != s[i-1] {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 // ComposeRoots folds per-shard roots into the single namespace root the
 // router exposes: shard order is part of the commitment (shard i's root in
 // position i), so swapping two shards' stores is itself a divergence.
@@ -194,16 +159,28 @@ type Checkpoint struct {
 	Root string
 }
 
-// Token renders the stored form: "v1|writer|seq|count|root".
+// checkpointVersion tags the stored token form. v2 commits to the trie
+// root (see trie.go); v1 committed to a sorted pairwise fold. No cloud
+// state outlives a process, so no v1 token can exist in a store this
+// build reads, and v1 is rejected rather than verified.
+const checkpointVersion = "v2"
+
+// Token renders the stored form: "v2|writer|seq|count|root". It is the
+// same length as the v1 form it replaced, so riders fit the same budgets.
 func (c Checkpoint) Token() string {
-	return fmt.Sprintf("v1|%s|%d|%d|%s", c.Writer, c.Seq, c.Count, c.Root)
+	return fmt.Sprintf("%s|%s|%d|%d|%s", checkpointVersion, c.Writer, c.Seq, c.Count, c.Root)
 }
 
 // ParseCheckpoint reverses Token. Writers may contain '|' only if they
-// enjoy corrupt verification reports, so they must not.
+// enjoy corrupt verification reports, so they must not. A v1 token is an
+// error: its root is not a trie root, so an audit treats it as absent and
+// reports checkpoint-missing rather than passing silently.
 func ParseCheckpoint(token string) (Checkpoint, error) {
 	parts := strings.Split(token, "|")
-	if len(parts) != 5 || parts[0] != "v1" {
+	if len(parts) == 5 && parts[0] == "v1" {
+		return Checkpoint{}, fmt.Errorf("integrity: unsupported v1 checkpoint token %q", token)
+	}
+	if len(parts) != 5 || parts[0] != checkpointVersion {
 		return Checkpoint{}, fmt.Errorf("integrity: malformed checkpoint token %q", token)
 	}
 	seq, err := strconv.Atoi(parts[2])
@@ -225,13 +202,26 @@ func ParseCheckpoint(token string) (Checkpoint, error) {
 // records converges to the same state, and an S3 metadata overwrite that
 // supersedes an older version's records supersedes its leaves too.
 //
+// Distinct leaves are refcounted across slots and held in a live trie,
+// so a commit rehashes only the paths of the leaves it adds or drops:
+// O(k log n) for k touched leaves, not a rebuild of all n.
+//
 // Ledger is safe for concurrent use.
 type Ledger struct {
 	mu     sync.Mutex
 	writer string
 	seq    int
 	slots  map[string][]string
-	nleaf  int
+	// refs counts, per distinct leaf, the slot entries holding it; the
+	// trie holds exactly the leaves with a positive count.
+	refs map[string]*leafRef
+	tree trie
+}
+
+// leafRef is one distinct leaf's reference count and trie key.
+type leafRef struct {
+	n   int
+	key digest
 }
 
 // NewLedger builds an empty ledger for the named writer.
@@ -239,7 +229,7 @@ func NewLedger(writer string) *Ledger {
 	if writer == "" {
 		writer = "w"
 	}
-	return &Ledger{writer: writer, slots: make(map[string][]string)}
+	return &Ledger{writer: writer, slots: make(map[string][]string), refs: make(map[string]*leafRef)}
 }
 
 // Commit replaces the given slots' leaves and mints the next checkpoint
@@ -250,16 +240,15 @@ func (l *Ledger) Commit(slots map[string][]string) Checkpoint {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for slot, leaves := range slots {
-		if prev, ok := l.slots[slot]; ok {
-			l.nleaf -= len(prev)
+		// Reference the new leaves before releasing the old ones, so a
+		// re-committed leaf never leaves the trie.
+		for _, leaf := range leaves {
+			l.ref(leaf)
 		}
-		if len(leaves) == 0 {
-			delete(l.slots, slot)
-			continue
+		l.release(slot)
+		if len(leaves) > 0 {
+			l.slots[slot] = append([]string(nil), leaves...)
 		}
-		cp := append([]string(nil), leaves...)
-		l.slots[slot] = cp
-		l.nleaf += len(cp)
 	}
 	l.seq++
 	return l.checkpointLocked()
@@ -270,10 +259,32 @@ func (l *Ledger) Commit(slots map[string][]string) Checkpoint {
 func (l *Ledger) Remove(slot string) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if prev, ok := l.slots[slot]; ok {
-		l.nleaf -= len(prev)
-		delete(l.slots, slot)
+	l.release(slot)
+}
+
+// ref counts one slot entry of leaf, inserting it into the trie on first
+// reference.
+func (l *Ledger) ref(leaf string) {
+	r := l.refs[leaf]
+	if r == nil {
+		r = &leafRef{key: leafDigest(leaf)}
+		l.refs[leaf] = r
+		l.tree.insert(r.key)
 	}
+	r.n++
+}
+
+// release drops a slot and its leaf references, removing leaves no other
+// slot entry holds.
+func (l *Ledger) release(slot string) {
+	for _, leaf := range l.slots[slot] {
+		r := l.refs[leaf]
+		if r.n--; r.n == 0 {
+			delete(l.refs, leaf)
+			l.tree.remove(r.key)
+		}
+	}
+	delete(l.slots, slot)
 }
 
 // Slots lists the ledger's live slot keys. Removal paths use it to find
@@ -298,13 +309,5 @@ func (l *Ledger) Checkpoint() Checkpoint {
 }
 
 func (l *Ledger) checkpointLocked() Checkpoint {
-	leaves := make([]string, 0, l.nleaf)
-	for _, ls := range l.slots {
-		leaves = append(leaves, ls...)
-	}
-	root := MerkleRoot(leaves)
-	// Count distinct leaves, matching MerkleRoot's set semantics.
-	sort.Strings(leaves)
-	leaves = dedupSorted(leaves)
-	return Checkpoint{Writer: l.writer, Seq: l.seq, Count: len(leaves), Root: root}
+	return Checkpoint{Writer: l.writer, Seq: l.seq, Count: len(l.refs), Root: l.tree.root()}
 }

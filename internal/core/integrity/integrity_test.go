@@ -70,8 +70,12 @@ func TestMerkleRoot(t *testing.T) {
 }
 
 func TestCheckpointTokenRoundTrip(t *testing.T) {
-	cp := Checkpoint{Writer: "w0-s3", Seq: 17, Count: 42, Root: "abc123"}
-	got, err := ParseCheckpoint(cp.Token())
+	cp := Checkpoint{Writer: "w0-s3", Seq: 17, Count: 42, Root: "9a1cc5ce814a36c49b545632f9bd06e4"}
+	tok := cp.Token()
+	if want := "v2|w0-s3|17|42|9a1cc5ce814a36c49b545632f9bd06e4"; tok != want {
+		t.Fatalf("token = %q, want %q", tok, want)
+	}
+	got, err := ParseCheckpoint(tok)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,6 +84,11 @@ func TestCheckpointTokenRoundTrip(t *testing.T) {
 	}
 	if _, err := ParseCheckpoint("v0|w|1|2|r"); err == nil {
 		t.Fatal("wrong version must fail")
+	}
+	// v1 committed to a different root; it is rejected, not verified.
+	if _, err := ParseCheckpoint("v1" + strings.TrimPrefix(tok, "v2")); err == nil ||
+		!strings.Contains(err.Error(), "unsupported v1") {
+		t.Fatalf("v1 token must be rejected as unsupported, got %v", err)
 	}
 	if _, err := ParseCheckpoint("garbage"); err == nil {
 		t.Fatal("garbage must fail")

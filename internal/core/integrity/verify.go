@@ -139,18 +139,28 @@ type ShardResult struct {
 func (r *ShardResult) Clean() bool { return len(r.Divergences) == 0 }
 
 // VerifyAudit re-derives every subject hash and the Merkle root from a
-// store's scanned state and returns the shard's result: chain checks per
-// object version, then the root check against the highest surviving
-// checkpoint.
+// store's scanned state and returns the shard's result: the root check
+// against the highest surviving checkpoint, then chain checks per object
+// version.
 func VerifyAudit(a *Audit) *ShardResult {
-	for ref, records := range a.Entries {
-		a.Entries[ref] = DedupRecords(records)
-	}
-	res := &ShardResult{Shard: a.Shard, Subjects: len(a.Entries)}
+	res := CheckRoot(a)
 	res.Divergences = append(res.Divergences, verifyChains(a, &res.Detached)...)
+	sortDivergences(res.Divergences)
+	return res
+}
 
+// CheckRoot is VerifyAudit's root-level half, which the reshard copy
+// check also runs on its own: it deduplicates a's entries in place,
+// re-derives the shard root from their leaves with MerkleRoot, and
+// compares it with the highest checkpoint of the single writer that
+// committed there. Its only possible finding is RootMismatch or
+// CheckpointMissing.
+func CheckRoot(a *Audit) *ShardResult {
+	res := &ShardResult{Shard: a.Shard, Subjects: len(a.Entries)}
 	leaves := make([]string, 0, len(a.Entries))
 	for ref, records := range a.Entries {
+		records = DedupRecords(records)
+		a.Entries[ref] = records
 		res.Records += len(records)
 		leaves = append(leaves, SubjectHash(ref, records))
 	}
@@ -169,7 +179,7 @@ func VerifyAudit(a *Audit) *ShardResult {
 	case multi:
 		// Several writers committed here; each root covers only its own
 		// writes, so no single checkpoint matches the union. Chain checks
-		// above still hold every record accountable to its predecessor.
+		// still hold every record accountable to its predecessor.
 	default:
 		res.Checkpoint = cp
 		if cp.Root != res.Root {
@@ -180,7 +190,6 @@ func VerifyAudit(a *Audit) *ShardResult {
 			})
 		}
 	}
-	sortDivergences(res.Divergences)
 	return res
 }
 

@@ -77,7 +77,7 @@ const (
 const budget = s3.MaxMetadataSize - 64 - riderReserve
 
 // riderReserve holds space for the x-root metadata key and its checkpoint
-// token ("v1|writer|seq|count|32-hex-root").
+// token ("v2|writer|seq|count|32-hex-root").
 const riderReserve = 96
 
 // Config parameterizes the store.

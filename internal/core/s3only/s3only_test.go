@@ -13,6 +13,7 @@ import (
 	"passcloud/internal/cloud"
 	"passcloud/internal/cloud/billing"
 	"passcloud/internal/core"
+	"passcloud/internal/core/integrity"
 	"passcloud/internal/pass"
 	"passcloud/internal/prov"
 	"passcloud/internal/sim"
@@ -565,5 +566,50 @@ func TestPagedScanMergesPieces(t *testing.T) {
 	}
 	if procRecords != 2 {
 		t.Fatalf("process entry carries %d records, want both pieces merged", procRecords)
+	}
+}
+
+// TestV1CheckpointReportsMissing pins the token-version decision: a
+// stored v1 checkpoint rider is not verified against the trie root but
+// rejected, so the audit reports checkpoint-missing instead of passing.
+func TestV1CheckpointReportsMissing(t *testing.T) {
+	st, cl := newTestStore(t, nil)
+	ctx := context.Background()
+	genesis := integrity.ChainRecord(prov.Ref{Object: "/out.dat"}, integrity.TokenGenesis)
+	if err := core.Put(ctx, st, fileEvent("/out.dat", 0, "payload", genesis)); err != nil {
+		t.Fatal(err)
+	}
+	cl.Settle()
+	verify := func() *integrity.ShardResult {
+		a, err := st.Audit(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return integrity.VerifyAudit(a)
+	}
+	if res := verify(); !res.Clean() {
+		t.Fatalf("healthy store: %v", res.Divergences)
+	}
+
+	head, err := cl.S3.Head("pass", dataKey("/out.dat"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := make(map[string]string, len(head.Metadata))
+	for k, v := range head.Metadata {
+		meta[k] = v
+	}
+	v2 := meta[integrity.AttrRoot]
+	if !strings.HasPrefix(v2, "v2|") {
+		t.Fatalf("rider = %q, want a v2 token", v2)
+	}
+	meta[integrity.AttrRoot] = "v1" + strings.TrimPrefix(v2, "v2")
+	if err := cl.S3.Copy("pass", dataKey("/out.dat"), "pass", dataKey("/out.dat"), meta); err != nil {
+		t.Fatal(err)
+	}
+	cl.Settle()
+	res := verify()
+	if len(res.Divergences) != 1 || res.Divergences[0].Kind != integrity.CheckpointMissing {
+		t.Fatalf("v1 rider: divergences = %v, want exactly one checkpoint-missing", res.Divergences)
 	}
 }

@@ -287,10 +287,9 @@ func (c *Controller) Recover(ctx context.Context) (Phase, error) {
 }
 
 // verifyCopy re-derives the moved subjects' Merkle leaves from fresh
-// audits of both sides and requires them equal, subject by subject and
-// as folded roots; each side's whole-shard root is also cross-checked
-// against its ledger's highest committed checkpoint when exactly one
-// writer committed there.
+// audits of both sides and requires them equal, subject by subject; each
+// side's whole-shard root is also cross-checked against its ledger's
+// highest committed checkpoint when exactly one writer committed there.
 func (c *Controller) verifyCopy(ctx context.Context, plan *Plan, subjects []prov.Ref) error {
 	sa, err := c.audit(ctx, plan.Src)
 	if err != nil {
@@ -300,8 +299,6 @@ func (c *Controller) verifyCopy(ctx context.Context, plan *Plan, subjects []prov
 	if err != nil {
 		return err
 	}
-	srcLeaves := make([]string, 0, len(subjects))
-	dstLeaves := make([]string, 0, len(subjects))
 	for _, ref := range subjects {
 		srcRecs, okS := sa.Entries[ref]
 		dstRecs, okD := da.Entries[ref]
@@ -317,17 +314,19 @@ func (c *Controller) verifyCopy(ctx context.Context, plan *Plan, subjects []prov
 			return fmt.Errorf("%w: %s: source leaf %s != destination leaf %s",
 				ErrVerifyFailed, ref, sl, dl)
 		}
-		srcLeaves = append(srcLeaves, sl)
-		dstLeaves = append(dstLeaves, dl)
 	}
-	if sr, dr := integrity.MerkleRoot(srcLeaves), integrity.MerkleRoot(dstLeaves); sr != dr {
-		return fmt.Errorf("%w: moved-arc root %s != destination root %s", ErrVerifyFailed, sr, dr)
-	}
-	if err := ledgerCheck("source", sa); err != nil {
-		return err
-	}
-	if err := ledgerCheck("destination", da); err != nil {
-		return err
+	// Each side's root against its own ledger. A shard without a
+	// surviving checkpoint is not a copy failure, so only a mismatch
+	// blocks the flip.
+	for _, side := range []struct {
+		name string
+		a    *integrity.Audit
+	}{{"source", sa}, {"destination", da}} {
+		for _, d := range integrity.CheckRoot(side.a).Divergences {
+			if d.Kind == integrity.RootMismatch {
+				return fmt.Errorf("%w: %s ledger %s", ErrVerifyFailed, side.name, d.Detail)
+			}
+		}
 	}
 	return nil
 }
@@ -343,32 +342,4 @@ func (c *Controller) audit(ctx context.Context, i int) (*integrity.Audit, error)
 		return nil, fmt.Errorf("reshard: audit shard %d: %w", i, err)
 	}
 	return audit, nil
-}
-
-// ledgerCheck compares a shard's re-derived whole-shard root against
-// its ledger's highest committed checkpoint. Skipped when no checkpoint
-// survived or several writers committed (each writer's root covers only
-// its own writes).
-func ledgerCheck(side string, a *integrity.Audit) error {
-	latest := make(map[string]integrity.Checkpoint)
-	for _, cp := range a.Checkpoints {
-		if have, ok := latest[cp.Writer]; !ok || cp.Seq > have.Seq {
-			latest[cp.Writer] = cp
-		}
-	}
-	if len(latest) != 1 {
-		return nil
-	}
-	leaves := make([]string, 0, len(a.Entries))
-	for ref, records := range a.Entries {
-		leaves = append(leaves, integrity.SubjectHash(ref, integrity.DedupRecords(records)))
-	}
-	derived := integrity.MerkleRoot(leaves)
-	for _, cp := range latest {
-		if cp.Root != derived {
-			return fmt.Errorf("%w: %s ledger committed root %s != derived root %s",
-				ErrVerifyFailed, side, cp.Root, derived)
-		}
-	}
-	return nil
 }
