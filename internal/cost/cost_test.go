@@ -188,6 +188,20 @@ func TestHarnessEndToEndSmall(t *testing.T) {
 	if s3Overhead < 0.03 || s3Overhead > 0.3 {
 		t.Errorf("s3 provenance overhead = %.1f%%, out of plausible band", 100*s3Overhead)
 	}
+	// Golden Table 2: the orderings above tolerate a refactor that shifts
+	// op counts; these exact values do not.
+	wantT2 := map[string]Table2Row{
+		"s3":         {ProvOps: 334, ProvBytes: 1709231},
+		"s3+sdb":     {ProvOps: 682, ProvBytes: 1557313},
+		"s3+sdb+sqs": {ProvOps: 6870, ProvBytes: 3765822},
+	}
+	for arch, want := range wantT2 {
+		got := rows[arch]
+		if got.ProvOps != want.ProvOps || got.ProvBytes != want.ProvBytes {
+			t.Errorf("Table 2 %s: ops=%d bytes=%d, golden ops=%d bytes=%d",
+				arch, got.ProvOps, got.ProvBytes, want.ProvOps, want.ProvBytes)
+		}
+	}
 
 	t3, err := h.Table3Measured(ctx)
 	if err != nil {
@@ -220,5 +234,18 @@ func TestHarnessEndToEndSmall(t *testing.T) {
 	// Q.1 returns every subject on both backends.
 	if q1s3, q1sdb := get("Q.1", "S3"), get("Q.1", "SimpleDB"); q1s3.Results != q1sdb.Results {
 		t.Errorf("Q.1 subject counts differ: %d vs %d", q1s3.Results, q1sdb.Results)
+	}
+	// Golden Table 3: exact ops, bytes out and result counts per row.
+	for _, want := range []Table3Row{
+		{Query: "Q.1", Arch: "S3", Ops: 649, DataOut: 1740994, Results: 1369},
+		{Query: "Q.1", Arch: "SimpleDB", Ops: 1698, DataOut: 1488486, Results: 1369},
+		{Query: "Q.2", Arch: "S3", Ops: 649, DataOut: 1740994, Results: 2},
+		{Query: "Q.2", Arch: "SimpleDB", Ops: 2, DataOut: 85, Results: 2},
+		{Query: "Q.3", Arch: "S3", Ops: 649, DataOut: 1740994, Results: 12},
+		{Query: "Q.3", Arch: "SimpleDB", Ops: 7, DataOut: 352, Results: 12},
+	} {
+		if got := get(want.Query, want.Arch); got != want {
+			t.Errorf("Table 3 %s/%s: %+v, golden %+v", want.Query, want.Arch, got, want)
+		}
 	}
 }
