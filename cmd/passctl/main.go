@@ -457,20 +457,21 @@ func runSession(client *passcloud.Client, in io.Reader, out io.Writer, state *se
 			if err := need(1); err != nil {
 				return err
 			}
-			refs, err := client.OutputsOf(ctx, args[0])
+			res, err := client.Search(ctx, passcloud.QuerySpec{Tool: args[0], Type: "file", RefsOnly: true})
 			if err != nil {
 				return fail(err)
 			}
-			printRefs(out, refs)
+			printRefs(out, res.Refs())
 		case "descendants":
 			if err := need(1); err != nil {
 				return err
 			}
-			refs, err := client.DescendantsOfOutputs(ctx, args[0])
+			res, err := client.Search(ctx, passcloud.QuerySpec{Tool: args[0], Type: "file",
+				Direction: passcloud.TraverseDescendants, RefsOnly: true})
 			if err != nil {
 				return fail(err)
 			}
-			printRefs(out, refs)
+			printRefs(out, res.Refs())
 		case "ancestors":
 			if err := need(1); err != nil {
 				return err
@@ -479,11 +480,12 @@ func runSession(client *passcloud.Client, in io.Reader, out io.Writer, state *se
 			if err != nil {
 				return fail(err)
 			}
-			refs, err := client.Ancestors(ctx, obj.Ref)
+			res, err := client.Search(ctx, passcloud.QuerySpec{Refs: []passcloud.Ref{obj.Ref},
+				Direction: passcloud.TraverseAncestors, RefsOnly: true})
 			if err != nil {
 				return fail(err)
 			}
-			printRefs(out, refs)
+			printRefs(out, res.Refs())
 		case "query":
 			fs := flag.NewFlagSet("query", flag.ContinueOnError)
 			opts, err := parseQueryFlags(fs, args)

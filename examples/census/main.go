@@ -121,8 +121,8 @@ func main() {
 		fmt.Printf("  %s%s\n", e.Ref, detail)
 	}
 
-	// The same surface answers parameterized questions the fixed verbs
-	// never could: which tool processes ran on the Odyssey grid?
+	// The same surface answers parameterized questions the paper's three
+	// fixed queries never could: which tool processes ran on the Odyssey grid?
 	odyssey, err := bureau.Search(ctx, passcloud.QuerySpec{
 		Attrs:     map[string]string{"env": "LAB=harvard GRID=odyssey"},
 		RefPrefix: "proc/",

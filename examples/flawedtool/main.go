@@ -68,10 +68,7 @@ func main() {
 
 	// The discovery: aligner v1.0 is flawed. One indexed query finds its
 	// direct outputs...
-	direct, err := client.OutputsOf(ctx, "aligner-v1.0")
-	if err != nil {
-		log.Fatal(err)
-	}
+	direct := outputs(ctx, client, "aligner-v1.0", passcloud.TraverseNone)
 	fmt.Println("datasets produced directly by the flawed aligner v1.0:")
 	for _, ref := range direct {
 		fmt.Printf("  %s\n", ref)
@@ -79,20 +76,14 @@ func main() {
 
 	// ...and the descendant closure finds everything contaminated
 	// downstream (the merge result included).
-	tainted, err := client.DescendantsOfOutputs(ctx, "aligner-v1.0")
-	if err != nil {
-		log.Fatal(err)
-	}
+	tainted := outputs(ctx, client, "aligner-v1.0", passcloud.TraverseDescendants)
 	fmt.Println("\neverything derived from those outputs (also suspect):")
 	for _, ref := range tainted {
 		fmt.Printf("  %s\n", ref)
 	}
 
 	// Sanity: the clean aligner's exclusive outputs are not implicated.
-	clean, err := client.OutputsOf(ctx, "aligner-v1.1")
-	if err != nil {
-		log.Fatal(err)
-	}
+	clean := outputs(ctx, client, "aligner-v1.1", passcloud.TraverseNone)
 	taintedSet := map[string]bool{}
 	for _, rfs := range [][]passcloud.Ref{direct, tainted} {
 		for _, r := range rfs {
@@ -106,6 +97,16 @@ func main() {
 		}
 		fmt.Printf("  %s\n", ref)
 	}
+}
+
+// outputs finds the files written by instances of tool (the paper's Q.2)
+// or, traversing descendants, everything derived from them (Q.3).
+func outputs(ctx context.Context, client *passcloud.Client, tool string, dir passcloud.TraversalDirection) []passcloud.Ref {
+	res, err := client.Search(ctx, passcloud.QuerySpec{Tool: tool, Type: "file", Direction: dir, RefsOnly: true})
+	if err != nil {
+		log.Fatal(err)
+	}
+	return res.Refs()
 }
 
 func must(err error) {

@@ -79,9 +79,7 @@ func main() {
 	// Walk both ancestries, collecting each ancestor's argv records.
 	argvs := func(result passcloud.Ref) map[string]string {
 		out := map[string]string{}
-		ancestors, err := client.Ancestors(ctx, result)
-		must(err)
-		for _, ref := range ancestors {
+		for _, ref := range ancestors(ctx, client, result) {
 			records, err := client.Provenance(ctx, ref)
 			must(err)
 			for _, r := range records {
@@ -112,7 +110,7 @@ func main() {
 	// Both derive from the same initial conditions — confirm the inputs
 	// were NOT the difference.
 	shared := false
-	for _, ref := range mustRefs(client.Ancestors(ctx, a.Ref)) {
+	for _, ref := range ancestors(ctx, client, a.Ref) {
 		if ref.Object == "/public/initial-conditions.dat" {
 			shared = true
 		}
@@ -128,7 +126,10 @@ func must(err error) {
 	}
 }
 
-func mustRefs(refs []passcloud.Ref, err error) []passcloud.Ref {
+// ancestors returns every object version in ref's ancestry.
+func ancestors(ctx context.Context, client *passcloud.Client, ref passcloud.Ref) []passcloud.Ref {
+	res, err := client.Search(ctx, passcloud.QuerySpec{Refs: []passcloud.Ref{ref},
+		Direction: passcloud.TraverseAncestors, RefsOnly: true})
 	must(err)
-	return refs
+	return res.Refs()
 }

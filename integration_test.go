@@ -110,7 +110,7 @@ func TestCausalOrderingSurvivesMidWorkloadCrash(t *testing.T) {
 			// Whatever is retrievable must be causally complete: every
 			// input reference of every surviving subject resolves.
 			q := st.(core.Querier)
-			all, err := core.AllProvenance(ctx, q)
+			all, err := core.CollectRecords(q.Query(ctx, prov.Q1()))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -168,15 +168,15 @@ func TestWorkloadAnswersIdenticalAcrossArchitectures(t *testing.T) {
 		}
 		cl.Settle()
 		q := st.(core.Querier)
-		all, err := core.AllProvenance(ctx, q)
+		all, err := core.CollectRecords(q.Query(ctx, prov.Q1()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		outputs, err := core.OutputsOf(ctx, q, tool)
+		outputs, err := core.CollectRefs(q.Query(ctx, prov.QOutputsOf(tool)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		desc, err := core.DescendantsOfOutputs(ctx, q, tool)
+		desc, err := core.CollectRefs(q.Query(ctx, prov.QDescendantsOfOutputs(tool)))
 		if err != nil {
 			t.Fatal(err)
 		}

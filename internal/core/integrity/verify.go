@@ -40,6 +40,18 @@ type Audit struct {
 	pred map[prov.Ref][]prov.Record
 }
 
+// AddCheckpoint parses one persisted checkpoint rider and records it. An
+// empty token is no rider. A token that no longer parses was tampered
+// with; dropping it surfaces downstream as a stale or missing checkpoint.
+func (a *Audit) AddCheckpoint(token string) {
+	if token == "" {
+		return
+	}
+	if cp, err := ParseCheckpoint(token); err == nil {
+		a.Checkpoints = append(a.Checkpoints, cp)
+	}
+}
+
 // predecessors resolves a chain link's predecessor record set.
 func (a *Audit) predecessors(ref prov.Ref) ([]prov.Record, bool) {
 	if a.pred != nil {

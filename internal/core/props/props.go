@@ -359,7 +359,7 @@ func checkCausalOrdering(ctx context.Context, h Harness) (bool, []string, error)
 	if !ok {
 		return false, nil, errors.New("store is not a Querier")
 	}
-	all, err := core.AllProvenance(ctx, q)
+	all, err := core.CollectRecords(q.Query(ctx, prov.Q1()))
 	if err != nil {
 		return false, nil, err
 	}
@@ -415,7 +415,7 @@ func checkEfficientQuery(ctx context.Context, h Harness) (bool, int64, int, erro
 		return false, 0, 0, errors.New("store is not a Querier")
 	}
 	before := env.Cloud.Usage().TotalOps()
-	outputs, err := core.OutputsOf(ctx, q, "blast")
+	outputs, err := core.CollectRefs(q.Query(ctx, prov.QOutputsOf("blast")))
 	if err != nil {
 		return false, 0, 0, err
 	}

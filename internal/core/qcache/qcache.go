@@ -393,14 +393,3 @@ func CopyRefs(refs []prov.Ref) []prov.Ref {
 	}
 	return append([]prov.Ref(nil), refs...)
 }
-
-// MapFromGraph materializes an AllProvenance-shaped map from a shared
-// snapshot. Record slices are copied so callers may mutate the result
-// without corrupting the cache.
-func MapFromGraph(g *prov.Graph) map[prov.Ref][]prov.Record {
-	out := make(map[prov.Ref][]prov.Record, g.Len())
-	for _, subject := range g.Subjects() {
-		out[subject] = append([]prov.Record(nil), g.Records(subject)...)
-	}
-	return out
-}

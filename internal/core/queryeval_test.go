@@ -139,23 +139,70 @@ func TestEvalQueryEdgeOnlySeeds(t *testing.T) {
 	}
 }
 
-func TestVerbHelpersCompile(t *testing.T) {
-	// The deprecated verbs must compile to descriptors that EvalQuery
-	// answers identically to the legacy graph algorithms.
+// TestPaperDescriptorsMatchGraphWalks: the paper's Q.2 and Q.3
+// descriptors evaluate to exactly what direct walks of the graph find.
+func TestPaperDescriptorsMatchGraphWalks(t *testing.T) {
 	g := evalGraph()
-	q3 := EvalQueryRefs(g, prov.QDescendantsOfOutputs("blast"))
-	legacy := map[prov.Ref]bool{}
-	for _, out := range g.FindByAttr(prov.AttrName, "blast") {
-		for _, c := range g.Children(out) {
-			for _, d := range append(g.Descendants(c), c) {
-				legacy[d] = true
+	outputs := map[prov.Ref]bool{}
+	closure := map[prov.Ref]bool{}
+	for _, inst := range g.FindByAttr(prov.AttrName, "blast") {
+		for _, out := range g.Children(inst) {
+			if MatchRecords(g.Records(out), prov.AttrType, prov.TypeFile) {
+				outputs[out] = true
+				for _, d := range g.Descendants(out) {
+					closure[d] = true
+				}
 			}
 		}
 	}
-	// legacy holds outputs' descendants plus the outputs; drop outputs.
-	for _, out := range q3 {
-		if !legacy[out] {
-			t.Fatalf("descendant %v not in legacy closure", out)
+	// Q.3 excludes its seeds, the outputs themselves.
+	for out := range outputs {
+		delete(closure, out)
+	}
+	if len(closure) == 0 {
+		t.Fatal("fixture has no descendants of blast's outputs")
+	}
+	asSet := func(refs []prov.Ref) map[prov.Ref]bool {
+		set := make(map[prov.Ref]bool, len(refs))
+		for _, r := range refs {
+			set[r] = true
+		}
+		return set
+	}
+	if got := asSet(EvalQueryRefs(g, prov.QOutputsOf("blast"))); !reflect.DeepEqual(got, outputs) {
+		t.Errorf("Q.2 = %v, graph walk finds %v", got, outputs)
+	}
+	if got := asSet(EvalQueryRefs(g, prov.QDescendantsOfOutputs("blast"))); !reflect.DeepEqual(got, closure) {
+		t.Errorf("Q.3 = %v, graph walk finds %v", got, closure)
+	}
+}
+
+// TestCollectRecordsMergesAndCopies: pieces of one subject merge into one
+// record set, and the result never aliases the stream's (possibly shared
+// snapshot) record slices.
+func TestCollectRecordsMergesAndCopies(t *testing.T) {
+	g := evalGraph()
+	out1 := evalRef("/out1", 0)
+	recs := g.Records(out1)
+	seq := func(yield func(Entry, error) bool) {
+		for _, r := range recs {
+			if !yield(Entry{Ref: out1, Records: []prov.Record{r}}, nil) {
+				return
+			}
+		}
+		yield(Entry{Ref: evalRef("/x", 0), Records: g.Records(evalRef("/x", 0))}, nil)
+	}
+	m, err := CollectRecords(seq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m) != 2 || !reflect.DeepEqual(m[out1], recs) {
+		t.Fatalf("merged = %v, want %d subjects with /out1 = %v", m, 2, recs)
+	}
+	for ref, records := range m {
+		records[0].Attr = "mutated"
+		if g.Records(ref)[0].Attr == "mutated" {
+			t.Fatalf("CollectRecords aliases the stream's records for %v", ref)
 		}
 	}
 }

@@ -51,7 +51,7 @@ func (s *Store) listData(ctx context.Context, match func(prov.ObjectID) bool, fn
 			return err
 		}
 		var page *s3.ListPage
-		err := s.retrier.Do(ctx, "s3only/reshard-list", func() error {
+		err := s.Retrier.Do(ctx, "s3only/reshard-list", func() error {
 			var lerr error
 			page, lerr = s.cloud.S3.List(s.bucket, dataPrefix, marker, 0)
 			return lerr
@@ -82,7 +82,7 @@ func (s *Store) ExportArc(ctx context.Context, match func(prov.ObjectID) bool) (
 	seen := make(map[prov.Ref]bool)
 	err := s.listData(ctx, match, func(key string, object prov.ObjectID) error {
 		var obj *s3.Object
-		err := s.retrier.Do(ctx, "s3only/reshard-get", func() error {
+		err := s.Retrier.Do(ctx, "s3only/reshard-get", func() error {
 			var gerr error
 			obj, gerr = s.cloud.S3.Get(s.bucket, key)
 			return gerr
@@ -135,8 +135,8 @@ func (s *Store) ImportArc(ctx context.Context, exp *core.ArcExport) error {
 	if !ok {
 		return fmt.Errorf("s3only: import of a foreign arc payload (%T)", exp.Payload)
 	}
-	defer s.gen.Bump()
-	return s.tracker.Track(func() error {
+	defer s.InvalidateQueries()
+	return s.TrackWrites(func() error {
 		for _, c := range payload.carriers {
 			key := dataKey(c.ref.Object)
 			meta, gets, err := s.encodeMetadata(ctx, c.ref, c.own, c.foreign)
@@ -161,7 +161,7 @@ func (s *Store) ImportArc(ctx context.Context, exp *core.ArcExport) error {
 // RemoveArc implements core.Migrator.
 func (s *Store) RemoveArc(ctx context.Context, match func(prov.ObjectID) bool) (int, error) {
 	removed := 0
-	err := s.tracker.Track(func() error {
+	err := s.TrackWrites(func() error {
 		type victim struct {
 			key string
 			ref prov.Ref
@@ -169,7 +169,7 @@ func (s *Store) RemoveArc(ctx context.Context, match func(prov.ObjectID) bool) (
 		var victims []victim
 		if err := s.listData(ctx, match, func(key string, object prov.ObjectID) error {
 			var info *s3.Info
-			err := s.retrier.Do(ctx, "s3only/reshard-head", func() error {
+			err := s.Retrier.Do(ctx, "s3only/reshard-head", func() error {
 				var herr error
 				info, herr = s.cloud.S3.Head(s.bucket, key)
 				return herr
@@ -191,12 +191,12 @@ func (s *Store) RemoveArc(ctx context.Context, match func(prov.ObjectID) bool) (
 		// must still leave the commitment or the next audit flags a root
 		// mismatch against records that no longer exist.
 		var phantoms []string
-		if s.ledger != nil {
+		if s.Ledger != nil {
 			live := make(map[string]bool, len(victims))
 			for _, v := range victims {
 				live[v.key] = true
 			}
-			for _, slot := range s.ledger.Slots() {
+			for _, slot := range s.Ledger.Slots() {
 				if !strings.HasPrefix(slot, dataPrefix) || live[slot] {
 					continue
 				}
@@ -210,7 +210,7 @@ func (s *Store) RemoveArc(ctx context.Context, match func(prov.ObjectID) bool) (
 		if len(victims) == 0 && len(phantoms) == 0 {
 			return nil
 		}
-		defer s.gen.Bump()
+		defer s.InvalidateQueries()
 		for _, v := range victims {
 			// The carrier's overflow and bundle objects live under its
 			// subject's prov/ prefix (foreign riders' spills included —
@@ -218,14 +218,14 @@ func (s *Store) RemoveArc(ctx context.Context, match func(prov.ObjectID) bool) (
 			if err := s.deletePrefix(ctx, fmt.Sprintf("%s/%s/", provPrefix, prov.EncodeItemName(v.ref))); err != nil {
 				return err
 			}
-			err := s.retrier.Do(ctx, "s3only/reshard-delete", func() error {
+			err := s.Retrier.Do(ctx, "s3only/reshard-delete", func() error {
 				return s.cloud.S3.Delete(s.bucket, v.key)
 			})
 			if err != nil {
 				return fmt.Errorf("s3only: reshard delete: %w", err)
 			}
-			if s.ledger != nil {
-				s.ledger.Remove(v.key)
+			if s.Ledger != nil {
+				s.Ledger.Remove(v.key)
 			}
 			s.catalog.Forget(v.key)
 			s.mu.Lock()
@@ -234,19 +234,19 @@ func (s *Store) RemoveArc(ctx context.Context, match func(prov.ObjectID) bool) (
 			removed++
 		}
 		for _, slot := range phantoms {
-			s.ledger.Remove(slot)
+			s.Ledger.Remove(slot)
 			s.catalog.Forget(slot)
 			s.mu.Lock()
 			delete(s.latest, slot)
 			s.mu.Unlock()
 		}
-		if s.ledger != nil {
+		if s.Ledger != nil {
 			// Persist the post-removal commitment: without it, the highest
 			// surviving rider still commits to the departed leaves and the
 			// next audit would flag a root mismatch.
 			meta := map[string]string{
 				metaVersion:        "0",
-				integrity.AttrRoot: s.ledger.Commit(nil).Token(),
+				integrity.AttrRoot: s.Ledger.Commit(nil).Token(),
 			}
 			key := dataKey(reshardMarker)
 			if err := s.putCarrier(ctx, "s3only/reshard-ledger-put", key, []byte{'.'}, meta); err != nil {
@@ -267,7 +267,7 @@ func (s *Store) deletePrefix(ctx context.Context, prefix string) error {
 			return err
 		}
 		var page *s3.ListPage
-		err := s.retrier.Do(ctx, "s3only/reshard-list", func() error {
+		err := s.Retrier.Do(ctx, "s3only/reshard-list", func() error {
 			var lerr error
 			page, lerr = s.cloud.S3.List(s.bucket, prefix, marker, 0)
 			return lerr
@@ -277,7 +277,7 @@ func (s *Store) deletePrefix(ctx context.Context, prefix string) error {
 		}
 		for _, info := range page.Objects {
 			key := info.Key
-			err := s.retrier.Do(ctx, "s3only/reshard-prefix-delete", func() error {
+			err := s.Retrier.Do(ctx, "s3only/reshard-prefix-delete", func() error {
 				return s.cloud.S3.Delete(s.bucket, key)
 			})
 			if err != nil {

@@ -210,7 +210,7 @@ func TestAckLossExhaustionCannotDoubleApplyRiders(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl.Settle()
-	all, err := core.AllProvenance(ctx, st)
+	all, err := core.CollectRecords(st.Query(ctx, prov.Q1()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestSyncRestoresBufferedProvenanceOnFailure(t *testing.T) {
 		t.Fatalf("second sync: %v", err)
 	}
 	cl.Settle()
-	all, err := core.AllProvenance(ctx, st)
+	all, err := core.CollectRecords(st.Query(ctx, prov.Q1()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,5 +260,52 @@ func TestSyncRestoresBufferedProvenanceOnFailure(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("straggler provenance lost after failed sync; subjects: %v", fmt.Sprint(len(all)))
+	}
+}
+
+// TestHeadFaultNeverDropsProvenance: a transient HEAD fault during the
+// metadata scan is retried, not mistaken for a deletion between LIST and
+// HEAD, so neither the query, nor the snapshot it caches, nor the audit
+// loses the object. A permanent HEAD fault fails the query instead of
+// returning a short result.
+func TestHeadFaultNeverDropsProvenance(t *testing.T) {
+	ctx := context.Background()
+	faults := sim.NewFaultPlan()
+	cl := cloud.New(cloud.Config{Seed: 1, Faults: faults})
+	st, err := New(Config{Cloud: cl, Faults: faults, Retry: tightRetry})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 5
+	for i := 0; i < n; i++ {
+		if err := core.Put(ctx, st, fileEv(fmt.Sprintf("/f%d", i), 0, "data")); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	faults.ArmOp("s3/HEAD", sim.ClassTransient, 1, 1)
+	for _, round := range []string{"scan", "cached snapshot"} {
+		entries, err := core.CollectEntries(st.Query(ctx, prov.Q1()))
+		if err != nil {
+			t.Fatalf("%s: %v", round, err)
+		}
+		if len(entries) != n {
+			t.Fatalf("%s: Q1 returned %d of %d entries", round, len(entries), n)
+		}
+	}
+
+	faults.ArmOp("s3/HEAD", sim.ClassTransient, 1, 1)
+	a, err := st.Audit(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a.Entries) != n {
+		t.Fatalf("audit saw %d of %d subjects", len(a.Entries), n)
+	}
+
+	st.InvalidateQueries()
+	faults.ArmOp("s3/HEAD", sim.ClassPermanent, 1, 1)
+	if entries, err := core.CollectEntries(st.Query(ctx, prov.Q1())); err == nil {
+		t.Fatalf("permanent HEAD fault returned %d entries and no error", len(entries))
 	}
 }

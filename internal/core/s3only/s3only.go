@@ -20,9 +20,10 @@
 //
 // Querying is the architecture's weakness: "if we do not know the exact
 // object whose provenance we seek, then we might need to iterate over the
-// provenance of every object in the repository". The Querier implementation
-// does exactly that — LIST plus one HEAD per object plus one GET per
-// overflow object — so the metered cost exhibits the paper's Table 3 row.
+// provenance of every object in the repository". The store's core.Kernel
+// answers every descriptor from exactly that scan — LIST plus one HEAD per
+// object plus one GET per overflow object — so the metered cost exhibits
+// the paper's Table 3 row.
 // Two mitigations soften the cost without changing it: the per-page HEADs
 // run with bounded concurrency (ScanConcurrency), cutting scan latency by
 // the concurrency factor, and the scanned graph is kept in a
@@ -51,7 +52,6 @@ import (
 	"passcloud/internal/core"
 	"passcloud/internal/core/integrity"
 	"passcloud/internal/core/planner"
-	"passcloud/internal/core/qcache"
 	"passcloud/internal/pass"
 	"passcloud/internal/prov"
 	"passcloud/internal/sim"
@@ -111,35 +111,20 @@ type Config struct {
 	DisableIntegrity bool
 }
 
-// Store is the S3-only architecture.
+// Store is the S3-only architecture. Its kernel serves queries from the
+// metadata scan. The kernel's ledger is keyed by data object key: this
+// architecture overwrites an object's metadata in place, so a slot's
+// leaves are replaced whenever its key is re-PUT.
 type Store struct {
+	*core.Kernel
 	cloud       *cloud.Cloud
 	bucket      string
 	faults      *sim.FaultPlan
 	concurrency int
 	scanConc    int
 
-	// gen counts writes; cache (nil when disabled) holds the scanned
-	// provenance graph while gen is unchanged.
-	gen   qcache.Generation
-	cache *qcache.Cache
-	// stamp samples the repository generation independently of the cache;
-	// pagination cursors bind to it.
-	stamp qcache.StampFunc
-	// pins retains paginated queries’ evaluated result sets.
-	pins core.Pins
-	// catalog mirrors this client's data PUTs for Explain's predictions;
-	// tracker tells the planner whether anything else wrote to the region.
+	// catalog mirrors this client's data PUTs for Explain's predictions.
 	catalog *planner.S3Catalog
-	tracker *qcache.WriteTracker
-	// retrier backs off and retries transient cloud errors; its meters
-	// feed the cost harness's retry-overhead report.
-	retrier *retry.Retrier
-	// ledger rolls the Merkle commitment over carrier PUTs (nil when
-	// integrity is disabled), keyed by data object key: this architecture
-	// overwrites an object's metadata in place, so a slot's leaves are
-	// replaced whenever its key is re-PUT.
-	ledger *integrity.Ledger
 
 	mu sync.Mutex
 	// foreign buffers transient ancestors' records until the descendant
@@ -172,28 +157,26 @@ func New(cfg Config) (*Store, error) {
 	}
 	s := &Store{cloud: cfg.Cloud, bucket: cfg.Bucket, faults: cfg.Faults,
 		concurrency: cfg.PutConcurrency, scanConc: cfg.ScanConcurrency,
-		catalog: planner.NewS3Catalog(), tracker: qcache.NewWriteTracker(cfg.Cloud),
-		retrier: retry.New(cfg.Retry, cfg.Cloud.Clock, cfg.Cloud.RNG),
-		latest:  make(map[string]prov.Version)}
-	if !cfg.DisableIntegrity {
-		s.ledger = integrity.NewLedger(cfg.Writer)
-	}
-	// Resource creation meters as a mutation (CreateBucket is an S3 PUT);
-	// track it so a solo client's plans stay exact.
-	err := s.tracker.Track(func() error {
-		//passvet:allow retrywrap -- one-shot namespace setup at construction: no caller context exists yet, and a failure surfaces directly instead of being retried behind the builder's back
-		if err := cfg.Cloud.S3.CreateBucket(cfg.Bucket); err != nil && !errors.Is(err, s3.ErrBucketAlreadyExists) {
-			return err
-		}
-		return nil
+		catalog: planner.NewS3Catalog(), latest: make(map[string]prov.Version)}
+	k, err := core.NewKernel(core.KernelConfig{
+		Cloud: cfg.Cloud,
+		Setup: func() error {
+			//passvet:allow retrywrap -- one-shot namespace setup at construction: no caller context exists yet, and a failure surfaces directly instead of being retried behind the builder's back
+			if err := cfg.Cloud.S3.CreateBucket(cfg.Bucket); err != nil && !errors.Is(err, s3.ErrBucketAlreadyExists) {
+				return err
+			}
+			return nil
+		},
+		Scan:              s.scanSeq,
+		DisableQueryCache: cfg.DisableQueryCache,
+		Retry:             cfg.Retry,
+		Writer:            cfg.Writer,
+		DisableIntegrity:  cfg.DisableIntegrity,
 	})
 	if err != nil {
 		return nil, err
 	}
-	s.stamp = qcache.CloudStamp(&s.gen, cfg.Cloud)
-	if !cfg.DisableQueryCache {
-		s.cache = qcache.New(s.stamp)
-	}
+	s.Kernel = k
 	return s, nil
 }
 
@@ -285,12 +268,12 @@ func (r *batchResult) recordRef(ref prov.Ref) {
 func (s *Store) PutBatch(ctx context.Context, batch []pass.FlushEvent) error {
 	// Invalidate cached query snapshots even when the batch fails: partial
 	// effects (overflow or bundle PUTs) may already be visible to a scan.
-	defer s.gen.Bump()
+	defer s.InvalidateQueries()
 	s.mu.Lock()
 	saved := append([]prov.Record(nil), s.foreign...)
 	s.mu.Unlock()
 	res := &batchResult{}
-	if err := s.tracker.Track(func() error { return s.putBatch(ctx, batch, len(saved) > 0, res) }); err != nil {
+	if err := s.TrackWrites(func() error { return s.putBatch(ctx, batch, len(saved) > 0, res) }); err != nil {
 		s.mu.Lock()
 		if res.savedLanded {
 			// The leftovers persisted with a landed PUT; restoring them
@@ -379,7 +362,7 @@ func (s *Store) putBatch(ctx context.Context, batch []pass.FlushEvent, savedPres
 // have its rider records restored and re-carried by a later PUT under a
 // different key, double-applying them.
 func (s *Store) putCarrier(ctx context.Context, op, key string, body []byte, meta map[string]string) error {
-	err := s.retrier.Do(ctx, op, func() error {
+	err := s.Retrier.Do(ctx, op, func() error {
 		return s.cloud.S3.Put(s.bucket, key, body, meta)
 	})
 	if err == nil || !errors.Is(err, awserr.ErrRequestTimeout) {
@@ -403,7 +386,7 @@ func (s *Store) putCarrier(ctx context.Context, op, key string, body []byte, met
 // slot's previous leaves are replaced to match. A subject with no records
 // contributes no leaf — the scan would never yield it as an entry.
 func (s *Store) mintRider(key string, own prov.Ref, ownRecords, foreign []prov.Record, meta map[string]string) {
-	if s.ledger == nil {
+	if s.Ledger == nil {
 		return
 	}
 	var leaves []string
@@ -419,7 +402,7 @@ func (s *Store) mintRider(key string, own prov.Ref, ownRecords, foreign []prov.R
 		}
 		leaves = append(leaves, integrity.SubjectHash(ref, recs))
 	}
-	meta[integrity.AttrRoot] = s.ledger.Commit(map[string][]string{key: leaves}).Token()
+	meta[integrity.AttrRoot] = s.Ledger.Commit(map[string][]string{key: leaves}).Token()
 }
 
 // riderSubjects returns the distinct subjects of the buffered records, in
@@ -497,7 +480,7 @@ func (s *Store) encodeMetadata(ctx context.Context, subject prov.Ref, own, forei
 		}
 		okey := overflowKey(subject, overflowN)
 		overflowN++
-		err := s.retrier.Do(ctx, "s3only/overflow-put", func() error {
+		err := s.Retrier.Do(ctx, "s3only/overflow-put", func() error {
 			return s.cloud.S3.Put(s.bucket, okey, []byte(v), nil)
 		})
 		if err != nil {
@@ -556,7 +539,7 @@ func (s *Store) encodeMetadata(ctx context.Context, subject prov.Ref, own, forei
 		if err != nil {
 			return nil, 0, err
 		}
-		err = s.retrier.Do(ctx, "s3only/bundle-put", func() error {
+		err = s.Retrier.Do(ctx, "s3only/bundle-put", func() error {
 			return s.cloud.S3.Put(s.bucket, bkey, blob, nil)
 		})
 		if err != nil {
@@ -737,7 +720,7 @@ func (s *Store) Provenance(ctx context.Context, ref prov.Ref) ([]prov.Record, er
 	}
 
 	// Older version or transient subject: scan everything.
-	all, err := s.AllProvenance(ctx)
+	all, err := core.CollectRecords(s.Query(ctx, prov.Q1()))
 	if err != nil {
 		return nil, err
 	}
@@ -748,56 +731,40 @@ func (s *Store) Provenance(ctx context.Context, ref prov.Ref) ([]prov.Record, er
 	return records, nil
 }
 
-// AllProvenance implements core.Querier by iterating over the provenance of
-// every object in the repository: LIST pages, bounded-concurrency HEADs per
-// page, one GET per overflow/bundle object. This is the cost Table 3
-// charges the S3-only architecture for every query class — paid once per
-// snapshot generation when the cache is enabled, once per call otherwise.
-func (s *Store) AllProvenance(ctx context.Context) (map[prov.Ref][]prov.Record, error) {
-	if s.cache != nil {
-		g, err := s.snapshot(ctx)
-		if err != nil {
-			return nil, err
-		}
-		return qcache.MapFromGraph(g), nil
-	}
-	out := make(map[prov.Ref][]prov.Record)
-	for entry, err := range s.scanSeq(ctx) {
-		if err != nil {
-			return nil, err
-		}
-		out[entry.Ref] = append(out[entry.Ref], entry.Records...)
-	}
-	return out, nil
-}
-
-// AllProvenanceSeq streams the repository scan. With the cache disabled
-// it is the live paged scan, one LIST page resident at a time; a subject
-// whose records rode more than one carrier PUT may then be yielded more
-// than once. With the cache enabled it yields from the (built-if-needed)
-// snapshot — merged, one entry per subject, zero cloud ops when warm.
-func (s *Store) AllProvenanceSeq(ctx context.Context) iter.Seq2[core.Entry, error] {
-	if s.cache == nil {
-		return s.scanSeq(ctx)
-	}
-	return func(yield func(core.Entry, error) bool) {
-		g, err := s.snapshot(ctx)
-		if err != nil {
-			yield(core.Entry{}, err)
-			return
-		}
-		for _, subject := range g.Subjects() {
-			if !yield(core.Entry{Ref: subject, Records: g.Records(subject)}, nil) {
-				return
-			}
-		}
-	}
-}
-
 // scanned is one object's decoded scan result.
 type scanned struct {
 	skip    bool // deleted between LIST and HEAD
 	records []prov.Record
+}
+
+// listPage reads one LIST page of the data prefix under the retrier.
+func (s *Store) listPage(ctx context.Context, op, marker string) (*s3.ListPage, error) {
+	var page *s3.ListPage
+	err := s.Retrier.Do(ctx, op, func() error {
+		var lerr error
+		page, lerr = s.cloud.S3.List(s.bucket, dataPrefix, marker, 0)
+		return lerr
+	})
+	return page, err
+}
+
+// headObject reads one listed object's metadata under the retrier. ok is
+// false only when the object is gone (deleted between LIST and HEAD);
+// every other failure is an error, so a fault can never silently drop an
+// object's provenance from a scan.
+func (s *Store) headObject(ctx context.Context, op, key string) (info *s3.Info, ok bool, err error) {
+	err = s.Retrier.Do(ctx, op, func() error {
+		var herr error
+		info, herr = s.cloud.S3.Head(s.bucket, key)
+		return herr
+	})
+	if errors.Is(err, s3.ErrNoSuchKey) {
+		return nil, false, nil
+	}
+	if err != nil {
+		return nil, false, err
+	}
+	return info, true, nil
 }
 
 // scanPage HEADs and decodes one LIST page with bounded concurrency,
@@ -810,9 +777,12 @@ func (s *Store) scanPage(ctx context.Context, infos []s3.Info) ([]scanned, error
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		head, err := s.cloud.S3.Head(s.bucket, infos[i].Key)
+		head, ok, err := s.headObject(ctx, "s3only/scan-head", infos[i].Key)
 		if err != nil {
-			out[i].skip = true // deleted between LIST and HEAD
+			return fmt.Errorf("s3only: scan head: %w", err)
+		}
+		if !ok {
+			out[i].skip = true
 			return nil
 		}
 		object := prov.ObjectID(strings.TrimPrefix(infos[i].Key, dataPrefix))
@@ -840,7 +810,7 @@ func (s *Store) scanSeq(ctx context.Context) iter.Seq2[core.Entry, error] {
 				yield(core.Entry{}, err)
 				return
 			}
-			page, err := s.cloud.S3.List(s.bucket, dataPrefix, marker, 0)
+			page, err := s.listPage(ctx, "s3only/scan-list", marker)
 			if err != nil {
 				yield(core.Entry{}, err)
 				return
@@ -876,158 +846,17 @@ func (s *Store) scanSeq(ctx context.Context) iter.Seq2[core.Entry, error] {
 	}
 }
 
-// buildGraph materializes the scan into a provenance graph.
-func (s *Store) buildGraph(ctx context.Context) (*prov.Graph, error) {
-	g := prov.NewGraph()
-	for entry, err := range s.scanSeq(ctx) {
-		if err != nil {
-			return nil, err
-		}
-		g.AddAll(entry.Records)
-	}
-	return g, nil
-}
-
-// snapshot returns the cached graph, building it (singleflight) on a miss.
-func (s *Store) snapshot(ctx context.Context) (*prov.Graph, error) {
-	return s.cache.Graph(ctx, s.buildGraph)
-}
-
-// CacheStats exposes the snapshot cache counters (zero when disabled).
-func (s *Store) CacheStats() qcache.Stats {
-	if s.cache == nil {
-		return qcache.Stats{}
-	}
-	return s.cache.Stats()
-}
-
-// scanGraph builds the full provenance graph, from the snapshot cache when
-// enabled.
-func (s *Store) scanGraph(ctx context.Context) (*prov.Graph, error) {
-	if s.cache != nil {
-		return s.snapshot(ctx)
-	}
-	return s.buildGraph(ctx)
-}
-
-// ProvenanceGraph implements core.GraphQuerier: the repository graph,
-// shared from the snapshot cache when warm. Read-only.
-func (s *Store) ProvenanceGraph(ctx context.Context) (*prov.Graph, error) {
-	return s.scanGraph(ctx)
-}
-
-// Query implements core.Querier. Every descriptor here costs at most one
-// repository pass: the architecture has no index ("if we do not know the
-// exact object whose provenance we seek, then we might need to iterate
-// over the provenance of every object in the repository"), so filters and
-// traversals evaluate client-side on the materialized graph — the shared
-// core.EvalQuery semantics — while the unfiltered Q.1 shape streams the
-// scan without materializing. Paginated descriptors pin their evaluation
-// to the snapshot generation of the first page.
-func (s *Store) Query(ctx context.Context, q prov.Query) iter.Seq2[core.Entry, error] {
-	return func(yield func(core.Entry, error) bool) {
-		if err := q.Validate(); err != nil {
-			yield(core.Entry{}, err)
-			return
-		}
-		if q.Limit > 0 || q.Cursor != "" {
-			core.RunPaged(ctx, q, s.stampToken(), &s.pins, s.evalAll, yield)
-			return
-		}
-		s.runQuery(ctx, q, yield)
-	}
-}
-
-// stampToken renders the repository generation cursors bind to.
-func (s *Store) stampToken() string {
-	st := s.stamp()
-	return fmt.Sprintf("%d.%d", st.Gen, st.Epoch)
-}
-
-// StampToken implements core.Stamped: the repository generation this
-// store's cursors bind to, exported for composing stores (the shard
-// router) that mint composite stamps.
-func (s *Store) StampToken() string { return s.stampToken() }
-
-// evalAll materializes a full evaluation for the paging layer. On the
-// uncached Q.1 streaming path a subject whose records rode several carrier
-// PUTs arrives in pieces; pages must have exactly one entry per ref (the
-// no-duplicates cursor contract), so pieces merge here before pinning.
-func (s *Store) evalAll(ctx context.Context, q prov.Query) ([]core.Entry, error) {
-	var out []core.Entry
-	idx := make(map[prov.Ref]int)
-	var ferr error
-	s.runQuery(ctx, q, func(e core.Entry, err error) bool {
-		if err != nil {
-			ferr = err
-			return false
-		}
-		if i, ok := idx[e.Ref]; ok {
-			out[i].Records = append(out[i].Records, e.Records...)
-			return true
-		}
-		idx[e.Ref] = len(out)
-		out = append(out, e)
-		return true
-	})
-	return out, ferr
-}
-
-// runQuery executes one non-paginated descriptor.
-func (s *Store) runQuery(ctx context.Context, q prov.Query, yield func(core.Entry, error) bool) {
-	if !q.HasFilters() && q.Direction == prov.TraverseNone && q.Projection == prov.ProjectFull {
-		// Q.1: stream the scan (or the warm snapshot) as-is. A subject
-		// whose records rode several carrier PUTs may stream in pieces on
-		// the uncached path, exactly like the deprecated AllProvenanceSeq.
-		for entry, err := range s.AllProvenanceSeq(ctx) {
-			if err != nil {
-				yield(core.Entry{}, err)
-				return
-			}
-			if !yield(entry, nil) {
-				return
-			}
-		}
-		return
-	}
-	// Anything filtered or traversed needs whole subjects (records can
-	// split across carrier PUTs) and possibly reverse edges: materialize
-	// the graph from the same single scan and evaluate in memory.
-	g, err := s.scanGraph(ctx)
-	if err != nil {
-		yield(core.Entry{}, err)
-		return
-	}
-	for _, e := range core.EvalQuery(g, q) {
-		if !yield(e, nil) {
-			return
-		}
-	}
-}
-
 // Explain implements core.Querier: on this architecture every cold plan is
 // the same full scan Table 3 charges — LIST pages, one HEAD per object,
 // one GET per overflow/bundle object — and every warm plan is free.
 func (s *Store) Explain(q prov.Query) core.QueryPlan {
-	// Exact only while every region mutation was this client's own: the
-	// catalog never sees other writers' objects.
-	p := core.QueryPlan{Arch: s.Name(), Exact: s.tracker.Foreign() == 0}
-	if err := q.Validate(); err != nil {
-		p.Strategy = "invalid"
-		return p
-	}
-	if q.Cursor != "" {
-		if core.ExplainCursor(&p, q, &s.pins, s.stampToken()) {
-			return p
+	return s.PlanQuery(s.Name(), q, func(p *core.QueryPlan, _ prov.Query) {
+		if s.Cache != nil && s.Cache.Warm() {
+			p.Strategy = "snapshot"
+			p.Cached = true
+			p.AddStep("-", "snapshot", 0, "warm snapshot: zero cloud ops")
+			return
 		}
-		// Evicted pin at an unchanged generation: fall through and cost the
-		// re-evaluation (free only if the snapshot is warm).
-	}
-	if s.cache != nil && s.cache.Warm() {
-		p.Strategy = "snapshot"
-		p.Cached = true
-		p.AddStep("-", "snapshot", 0, "warm snapshot: zero cloud ops")
-	} else {
 		p.Strategy = "scan"
 		objects, gets := s.catalog.ScanCost()
 		p.AddStep("S3", "LIST", core.PlanPages(objects, s3.DefaultMaxKeys), "page the data prefix")
@@ -1035,33 +864,7 @@ func (s *Store) Explain(q prov.Query) core.QueryPlan {
 		if gets > 0 {
 			p.AddStep("S3", "GET", gets, "resolve overflow and bundle objects")
 		}
-	}
-	if q.Limit > 0 {
-		p.AddStep("-", "paginate", 0, "first page evaluates fully, sorts and pins; later pages are free")
-	}
-	return p
-}
-
-// OutputsOf implements Q.2 over the scan.
-//
-// Deprecated: build prov.QOutputsOf and use Query.
-func (s *Store) OutputsOf(ctx context.Context, tool string) ([]prov.Ref, error) {
-	return core.OutputsOf(ctx, s, tool)
-}
-
-// DescendantsOfOutputs implements Q.3 over the scan.
-//
-// Deprecated: build prov.QDescendantsOfOutputs and use Query.
-func (s *Store) DescendantsOfOutputs(ctx context.Context, tool string) ([]prov.Ref, error) {
-	return core.DescendantsOfOutputs(ctx, s, tool)
-}
-
-// Dependents finds every subject whose inputs reference any version of
-// object. Like every other query here, it scans.
-//
-// Deprecated: build prov.QDependents and use Query.
-func (s *Store) Dependents(ctx context.Context, object prov.ObjectID) ([]prov.Ref, error) {
-	return core.Dependents(ctx, s, object)
+	})
 }
 
 // Sync persists any buffered transient provenance that no descendant PUT
@@ -1069,7 +872,7 @@ func (s *Store) Dependents(ctx context.Context, object prov.ObjectID) ([]prov.Re
 // The records ride a one-byte marker object so they remain discoverable by
 // the metadata scan, preserving this architecture's single-PUT atomicity.
 func (s *Store) Sync(ctx context.Context) error {
-	return s.tracker.Track(func() error { return s.sync(ctx) })
+	return s.TrackWrites(func() error { return s.sync(ctx) })
 }
 
 func (s *Store) sync(ctx context.Context) error {
@@ -1087,7 +890,7 @@ func (s *Store) sync(ctx context.Context) error {
 	}
 	// The marker PUT below changes what a scan sees; even a failed attempt
 	// may have written overflow objects.
-	defer s.gen.Bump()
+	defer s.InvalidateQueries()
 
 	subject := prov.Ref{Object: prov.ObjectID(fmt.Sprintf("/.pnodes/%06d", seq)), Version: 0}
 	restore := func() {
@@ -1131,20 +934,19 @@ func (s *Store) Audit(ctx context.Context) (*integrity.Audit, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		page, err := s.cloud.S3.List(s.bucket, dataPrefix, marker, 0)
+		page, err := s.listPage(ctx, "s3only/audit-list", marker)
 		if err != nil {
 			return nil, err
 		}
 		for _, info := range page.Objects {
-			head, err := s.cloud.S3.Head(s.bucket, info.Key)
+			head, ok, err := s.headObject(ctx, "s3only/audit-head", info.Key)
 			if err != nil {
-				continue // deleted between LIST and HEAD
+				return nil, fmt.Errorf("s3only: audit head: %w", err)
 			}
-			if tok, ok := head.Metadata[integrity.AttrRoot]; ok {
-				if cp, err := integrity.ParseCheckpoint(tok); err == nil {
-					a.Checkpoints = append(a.Checkpoints, cp)
-				}
+			if !ok {
+				continue
 			}
+			a.AddCheckpoint(head.Metadata[integrity.AttrRoot])
 			object := prov.ObjectID(strings.TrimPrefix(info.Key, dataPrefix))
 			_, records, err := s.decodeAll(object, head.Metadata)
 			if err != nil {
@@ -1160,9 +962,6 @@ func (s *Store) Audit(ctx context.Context) (*integrity.Audit, error) {
 		marker = page.NextMarker
 	}
 }
-
-// RetryStats snapshots the store's retry counters.
-func (s *Store) RetryStats() retry.Snapshot { return s.retrier.Snapshot() }
 
 var (
 	_ core.Store        = (*Store)(nil)

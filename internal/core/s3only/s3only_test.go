@@ -187,7 +187,7 @@ func TestAtomicityUnderCrash(t *testing.T) {
 	if _, err := st.Get(ctx, "/out.dat"); !errors.Is(err, core.ErrNotFound) {
 		t.Fatalf("data visible after crash: %v", err)
 	}
-	all, err := st.AllProvenance(ctx)
+	all, err := core.CollectRecords(st.Query(ctx, prov.Q1()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestQueriesRequireFullScan(t *testing.T) {
 	}
 
 	before := cl.Usage().OpCount(billing.S3, "HEAD")
-	outputs, err := st.OutputsOf(ctx, "blast")
+	outputs, err := core.CollectRefs(st.Query(ctx, prov.QOutputsOf("blast")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestQueriesRequireFullScan(t *testing.T) {
 		t.Fatalf("query issued %d HEADs; expected one per stored object (full scan)", heads)
 	}
 
-	desc, err := st.DescendantsOfOutputs(ctx, "blast")
+	desc, err := core.CollectRefs(st.Query(ctx, prov.QDescendantsOfOutputs("blast")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestQueriesRequireFullScan(t *testing.T) {
 		t.Fatalf("DescendantsOfOutputs = %v", desc)
 	}
 
-	all, err := st.AllProvenance(ctx)
+	all, err := core.CollectRecords(st.Query(ctx, prov.Q1()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +339,7 @@ func TestFullWorkloadThroughStore(t *testing.T) {
 	if err != nil || string(obj.Data) != "result" {
 		t.Fatalf("Get = %v, %v", obj, err)
 	}
-	outputs, err := st.OutputsOf(ctx, "tool")
+	outputs, err := core.CollectRefs(st.Query(ctx, prov.QOutputsOf("tool")))
 	if err != nil || len(outputs) != 1 {
 		t.Fatalf("OutputsOf = %v, %v", outputs, err)
 	}
@@ -372,7 +372,7 @@ func TestSnapshotCacheMakesRepeatQueriesFree(t *testing.T) {
 
 	// Cold: the full scan.
 	before := cl.Usage().TotalOps()
-	if _, err := st.OutputsOf(ctx, "blast"); err != nil {
+	if _, err := core.CollectRefs(st.Query(ctx, prov.QOutputsOf("blast"))); err != nil {
 		t.Fatal(err)
 	}
 	cold := cl.Usage().TotalOps() - before
@@ -382,16 +382,16 @@ func TestSnapshotCacheMakesRepeatQueriesFree(t *testing.T) {
 
 	// Warm: every query class answers from the snapshot at zero cloud ops.
 	before = cl.Usage().TotalOps()
-	if refs, err := st.OutputsOf(ctx, "blast"); err != nil || len(refs) != 1 {
+	if refs, err := core.CollectRefs(st.Query(ctx, prov.QOutputsOf("blast"))); err != nil || len(refs) != 1 {
 		t.Fatalf("warm OutputsOf = %v, %v", refs, err)
 	}
-	if _, err := st.DescendantsOfOutputs(ctx, "blast"); err != nil {
+	if _, err := core.CollectRefs(st.Query(ctx, prov.QDescendantsOfOutputs("blast"))); err != nil {
 		t.Fatal(err)
 	}
-	if all, err := st.AllProvenance(ctx); err != nil || len(all) != 22 {
+	if all, err := core.CollectRecords(st.Query(ctx, prov.Q1())); err != nil || len(all) != 22 {
 		t.Fatalf("warm AllProvenance = %d, %v", len(all), err)
 	}
-	if _, err := st.Dependents(ctx, blast.Ref.Object); err != nil {
+	if _, err := core.CollectRefs(st.Query(ctx, prov.QDependents(blast.Ref.Object))); err != nil {
 		t.Fatal(err)
 	}
 	if warm := cl.Usage().TotalOps() - before; warm != 0 {
@@ -413,7 +413,7 @@ func TestWriteBetweenQueriesInvalidatesSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	refs, err := st.OutputsOf(ctx, "blast")
+	refs, err := core.CollectRefs(st.Query(ctx, prov.QOutputsOf("blast")))
 	if err != nil || len(refs) != 1 {
 		t.Fatalf("OutputsOf = %v, %v", refs, err)
 	}
@@ -423,7 +423,7 @@ func TestWriteBetweenQueriesInvalidatesSnapshot(t *testing.T) {
 	if err := core.Put(ctx, st, out2); err != nil {
 		t.Fatal(err)
 	}
-	refs, err = st.OutputsOf(ctx, "blast")
+	refs, err = core.CollectRefs(st.Query(ctx, prov.QOutputsOf("blast")))
 	if err != nil || len(refs) != 2 {
 		t.Fatalf("OutputsOf after write = %v, %v; stale snapshot served", refs, err)
 	}
@@ -462,7 +462,7 @@ func TestScanCancellationHonoredPerObject(t *testing.T) {
 			// old per-page check would have drained the whole page.
 			cctx := &ctxAfterChecks{Context: context.Background(), n: 6}
 			before := cl.Usage().OpCount(billing.S3, "HEAD")
-			_, err = st.AllProvenance(cctx)
+			_, err = core.CollectRecords(st.Query(cctx, prov.Q1()))
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("err = %v, want context.Canceled", err)
 			}
@@ -488,7 +488,7 @@ func TestParallelScanMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		loadN(t, st, 30)
-		all, err := st.AllProvenance(ctx)
+		all, err := core.CollectRecords(st.Query(ctx, prov.Q1()))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -24,7 +24,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"iter"
 	"strconv"
 	"sync"
 
@@ -64,8 +63,8 @@ type Config struct {
 
 // Store is the S3+SimpleDB architecture.
 type Store struct {
+	sdbprov.Front
 	cloud  *cloud.Cloud
-	layer  *sdbprov.Layer
 	faults *sim.FaultPlan
 
 	mu sync.Mutex
@@ -96,12 +95,9 @@ func New(cfg Config) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Store{cloud: cfg.Cloud, layer: layer, faults: cfg.Faults,
+	return &Store{Front: sdbprov.NewFront("s3+sdb", layer), cloud: cfg.Cloud, faults: cfg.Faults,
 		latest: make(map[prov.ObjectID]prov.Version)}, nil
 }
-
-// Name implements core.Store.
-func (s *Store) Name() string { return "s3+sdb" }
 
 // Properties implements core.Store: Table 1 row 2. No atomicity.
 func (s *Store) Properties() core.Properties {
@@ -112,30 +108,6 @@ func (s *Store) Properties() core.Properties {
 		EfficientQuery: true,
 	}
 }
-
-// Layer exposes the SimpleDB provenance layer (shared with queries/tests).
-func (s *Store) Layer() *sdbprov.Layer { return s.layer }
-
-// RetryStats snapshots the store's retry counters (shared with its layer).
-func (s *Store) RetryStats() retry.Snapshot { return s.layer.RetryStats() }
-
-// ExportArc implements core.Migrator via the provenance layer.
-func (s *Store) ExportArc(ctx context.Context, match func(prov.ObjectID) bool) (*core.ArcExport, error) {
-	return s.layer.ExportArc(ctx, match)
-}
-
-// ImportArc implements core.Migrator via the provenance layer.
-func (s *Store) ImportArc(ctx context.Context, exp *core.ArcExport) error {
-	return s.layer.ImportArc(ctx, exp)
-}
-
-// RemoveArc implements core.Migrator via the provenance layer.
-func (s *Store) RemoveArc(ctx context.Context, match func(prov.ObjectID) bool) (int, error) {
-	return s.layer.RemoveArc(ctx, match)
-}
-
-// StampToken implements core.Stamped via the provenance layer's stamp.
-func (s *Store) StampToken() string { return s.layer.StampToken() }
 
 // PutBatch implements core.Store with the §4.2 protocol, batch-first: the
 // whole batch's provenance items go to SimpleDB via grouped
@@ -153,7 +125,7 @@ func (s *Store) StampToken() string { return s.layer.StampToken() }
 // shape, repaired by the caller's retry or the OrphanScan, never reported
 // as durable.
 func (s *Store) PutBatch(ctx context.Context, batch []pass.FlushEvent) error {
-	return s.layer.TrackWrites(func() error { return s.putBatch(ctx, batch) })
+	return s.Layer().TrackWrites(func() error { return s.putBatch(ctx, batch) })
 }
 
 func (s *Store) putBatch(ctx context.Context, batch []pass.FlushEvent) error {
@@ -162,7 +134,7 @@ func (s *Store) putBatch(ctx context.Context, batch []pass.FlushEvent) error {
 	}
 	// Invalidate cached query snapshots even when the batch fails partway:
 	// the provenance phase's effects may already be visible to queries.
-	defer s.layer.InvalidateQueries()
+	defer s.Layer().InvalidateQueries()
 	if err := s.faults.Check("s3sdb/before-put"); err != nil {
 		return err
 	}
@@ -190,10 +162,10 @@ func (s *Store) putBatch(ctx context.Context, batch []pass.FlushEvent) error {
 		// The integrity leaf hashes the ORIGINAL record set — the form a
 		// verifier re-derives after decoding pointers and escapes.
 		var leaf string
-		if s.layer.IntegrityEnabled() {
+		if s.Layer().IntegrityEnabled() {
 			leaf = integrity.SubjectHash(ev.Ref, ev.Records)
 		}
-		encoded, err := s.layer.EncodeValues(ctx, ev.Ref, ev.Records, "s3sdb")
+		encoded, err := s.Layer().EncodeValues(ctx, ev.Ref, ev.Records, "s3sdb")
 		if err != nil {
 			return err
 		}
@@ -218,7 +190,7 @@ func (s *Store) putBatch(ctx context.Context, batch []pass.FlushEvent) error {
 	}
 
 	// Step 3: the batch's provenance (and MD5 records) into SimpleDB.
-	if err := s.layer.WriteEncodedBatch(ctx, writes, "s3sdb"); err != nil {
+	if err := s.Layer().WriteEncodedBatch(ctx, writes, "s3sdb"); err != nil {
 		var pw *core.PartialWriteError
 		if errors.As(err, &pw) {
 			// Re-scope the landed set from provenance items to full events
@@ -263,8 +235,8 @@ func (s *Store) putBatch(ctx context.Context, batch []pass.FlushEvent) error {
 			sdbprov.MetaNonce:   d.nonce,
 			sdbprov.MetaVersion: strconv.Itoa(int(d.ev.Ref.Version)),
 		}
-		err := s.layer.Retrier().Do(ctx, "s3sdb/data-put", func() error {
-			return s.cloud.S3.Put(s.layer.Bucket(), sdbprov.DataKey(d.ev.Ref.Object), d.ev.Data, meta)
+		err := s.Layer().Retrier.Do(ctx, "s3sdb/data-put", func() error {
+			return s.cloud.S3.Put(s.Layer().Bucket(), sdbprov.DataKey(d.ev.Ref.Object), d.ev.Data, meta)
 		})
 		if err != nil {
 			return core.PartialWrite(landed, fmt.Errorf("s3sdb: data put: %w", err))
@@ -282,86 +254,6 @@ func (s *Store) putBatch(ctx context.Context, batch []pass.FlushEvent) error {
 	return nil
 }
 
-// Get implements core.Store via the verified-read protocol.
-func (s *Store) Get(ctx context.Context, object prov.ObjectID) (*core.Object, error) {
-	return s.layer.VerifiedGet(ctx, object)
-}
-
-// Provenance implements core.Store: one GetAttributes (plus pointer GETs).
-func (s *Store) Provenance(ctx context.Context, ref prov.Ref) ([]prov.Record, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	records, _, ok, err := s.layer.FetchItem(ctx, ref)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", core.ErrNotFound, ref)
-	}
-	return records, nil
-}
-
-// Query implements core.Querier: the SimpleDB layer's native plans —
-// predicate pushdown, two-phase tool queries, prefix traversals, snapshot
-// fallback — answer every descriptor.
-func (s *Store) Query(ctx context.Context, q prov.Query) iter.Seq2[core.Entry, error] {
-	return s.layer.Query(ctx, q)
-}
-
-// Explain implements core.Querier.
-func (s *Store) Explain(q prov.Query) core.QueryPlan {
-	p := s.layer.Explain(q)
-	p.Arch = s.Name()
-	return p
-}
-
-// PlanQueryRefs implements core.RefPlanner: the SimpleDB layer's plan
-// simulation predicts the reference set q's native plan would return.
-func (s *Store) PlanQueryRefs(q prov.Query) ([]prov.Ref, bool) {
-	return s.layer.PlanQueryRefs(q)
-}
-
-// AllProvenance implements Q.1.
-//
-// Deprecated: build prov.Q1 and use Query.
-func (s *Store) AllProvenance(ctx context.Context) (map[prov.Ref][]prov.Record, error) {
-	return s.layer.AllProvenance(ctx)
-}
-
-// AllProvenanceSeq streams Q.1.
-//
-// Deprecated: build prov.Q1 and use Query.
-func (s *Store) AllProvenanceSeq(ctx context.Context) iter.Seq2[core.Entry, error] {
-	return s.layer.AllProvenanceSeq(ctx)
-}
-
-// ProvenanceGraph implements core.GraphQuerier.
-func (s *Store) ProvenanceGraph(ctx context.Context) (*prov.Graph, error) {
-	return s.layer.ProvenanceGraph(ctx)
-}
-
-// OutputsOf implements Q.2.
-//
-// Deprecated: build prov.QOutputsOf and use Query.
-func (s *Store) OutputsOf(ctx context.Context, tool string) ([]prov.Ref, error) {
-	return s.layer.OutputsOf(ctx, tool)
-}
-
-// DescendantsOfOutputs implements Q.3.
-//
-// Deprecated: build prov.QDescendantsOfOutputs and use Query.
-func (s *Store) DescendantsOfOutputs(ctx context.Context, tool string) ([]prov.Ref, error) {
-	return s.layer.DescendantsOfOutputs(ctx, tool)
-}
-
-// Dependents runs one indexed prefix query.
-//
-// Deprecated: build prov.QDependents and use Query.
-func (s *Store) Dependents(ctx context.Context, object prov.ObjectID) ([]prov.Ref, error) {
-	return s.layer.Dependents(ctx, object)
-}
-
 // OrphanScan is the §4.2 recovery path: "On restart, the client could
 // recover by scanning SimpleDB for 'orphan provenance' and remove
 // provenance of objects that do not exist. However, this is an inelegant
@@ -375,7 +267,7 @@ func (s *Store) Dependents(ctx context.Context, object prov.ObjectID) ([]prov.Re
 // strictly worse than tolerating an orphan for one more scan).
 // Returns the refs whose provenance was removed.
 func (s *Store) OrphanScan(ctx context.Context) (refs []prov.Ref, err error) {
-	err = s.layer.TrackWrites(func() error {
+	err = s.Layer().TrackWrites(func() error {
 		refs, err = s.orphanScan(ctx)
 		return err
 	})
@@ -384,7 +276,7 @@ func (s *Store) OrphanScan(ctx context.Context) (refs []prov.Ref, err error) {
 
 func (s *Store) orphanScan(ctx context.Context) ([]prov.Ref, error) {
 	// Deletions below change query results behind the layer's back.
-	defer s.layer.InvalidateQueries()
+	defer s.Layer().InvalidateQueries()
 
 	// Pass 1: collect candidates without deleting anything.
 	var candidates []prov.Ref
@@ -393,7 +285,7 @@ func (s *Store) orphanScan(ctx context.Context) ([]prov.Ref, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		res, err := s.cloud.SDB.Select("select "+sdbprov.AttrMD5+" from "+s.layer.Domain(), token)
+		res, err := s.cloud.SDB.Select("select "+sdbprov.AttrMD5+" from "+s.Layer().Domain(), token)
 		if err != nil {
 			return nil, err
 		}
@@ -421,7 +313,7 @@ func (s *Store) orphanScan(ctx context.Context) ([]prov.Ref, error) {
 
 	// Pass 2: wait for the region to converge, re-verify, then delete only
 	// confirmed orphans.
-	s.layer.ConsistencyWait()
+	s.Layer().ConsistencyWait()
 	var orphans []prov.Ref
 	for _, ref := range candidates {
 		if err := ctx.Err(); err != nil {
@@ -435,8 +327,8 @@ func (s *Store) orphanScan(ctx context.Context) ([]prov.Ref, error) {
 			continue
 		}
 		item := prov.EncodeItemName(ref)
-		if err := s.layer.Retrier().Do(ctx, "s3sdb/orphan-delete", func() error {
-			return s.cloud.SDB.DeleteAttributes(s.layer.Domain(), item, nil)
+		if err := s.Layer().Retrier.Do(ctx, "s3sdb/orphan-delete", func() error {
+			return s.cloud.SDB.DeleteAttributes(s.Layer().Domain(), item, nil)
 		}); err != nil {
 			return orphans, err
 		}
@@ -450,22 +342,17 @@ func (s *Store) orphanScan(ctx context.Context) ([]prov.Ref, error) {
 		for i, ref := range orphans {
 			items[i] = prov.EncodeItemName(ref)
 		}
-		if err := s.layer.DropFromLedger(ctx, items); err != nil {
+		if err := s.Layer().DropFromLedger(ctx, items); err != nil {
 			return orphans, err
 		}
 	}
 	return orphans, nil
 }
 
-// Audit implements integrity.Auditor via the shared provenance layer.
-func (s *Store) Audit(ctx context.Context) (*integrity.Audit, error) {
-	return s.layer.Audit(ctx)
-}
-
 // isOrphan checks whether a persistent item's data is missing or older than
 // the provenance claims.
 func (s *Store) isOrphan(ref prov.Ref) (bool, error) {
-	info, err := s.cloud.S3.Head(s.layer.Bucket(), sdbprov.DataKey(ref.Object))
+	info, err := s.cloud.S3.Head(s.Layer().Bucket(), sdbprov.DataKey(ref.Object))
 	if err != nil {
 		if errors.Is(err, s3.ErrNoSuchKey) {
 			return true, nil

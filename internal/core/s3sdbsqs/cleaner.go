@@ -27,7 +27,7 @@ type Cleaner struct {
 
 // NewCleaner builds a cleaner for a store's bucket.
 func NewCleaner(st *Store) *Cleaner {
-	return NewCleanerForLayer(st.cloud, st.layer)
+	return NewCleanerForLayer(st.cloud, st.Layer())
 }
 
 // NewCleanerForLayer builds a cleaner directly over a provenance layer.
@@ -47,7 +47,7 @@ func (c *Cleaner) RunOnce(ctx context.Context) (n int, err error) {
 
 func (c *Cleaner) runOnce(ctx context.Context) (int, error) {
 	var infos []s3.Info
-	err := c.layer.Retrier().Do(ctx, "s3sdbsqs/clean-list", func() error {
+	err := c.layer.Retrier.Do(ctx, "s3sdbsqs/clean-list", func() error {
 		var lerr error
 		infos, lerr = c.cloud.S3.ListAll(c.bucket, TmpPrefix)
 		return lerr
@@ -66,7 +66,7 @@ func (c *Cleaner) runOnce(ctx context.Context) (int, error) {
 		}
 		key := info.Key
 		// DELETE is idempotent: a retry after a lost response is harmless.
-		err := c.layer.Retrier().Do(ctx, "s3sdbsqs/clean-delete", func() error {
+		err := c.layer.Retrier.Do(ctx, "s3sdbsqs/clean-delete", func() error {
 			return c.cloud.S3.Delete(c.bucket, key)
 		})
 		if err != nil {

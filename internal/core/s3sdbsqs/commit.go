@@ -86,7 +86,7 @@ type txState struct {
 func NewCommitDaemon(st *Store, faults *sim.FaultPlan) *CommitDaemon {
 	return &CommitDaemon{
 		cloud:            st.cloud,
-		layer:            st.layer,
+		layer:            st.Layer(),
 		queue:            st.queue,
 		faults:           faults,
 		Threshold:        1,
@@ -106,7 +106,7 @@ func (d *CommitDaemon) RunOnce(ctx context.Context, force bool) (int, error) {
 	}
 	if !force {
 		var n int
-		err := d.layer.Retrier().Do(ctx, "s3sdbsqs/queue-depth", func() error {
+		err := d.layer.Retrier.Do(ctx, "s3sdbsqs/queue-depth", func() error {
 			var qerr error
 			n, qerr = d.cloud.SQS.ApproximateNumberOfMessages(d.queue)
 			return qerr
@@ -148,7 +148,7 @@ func (d *CommitDaemon) drain(ctx context.Context) error {
 			return err
 		}
 		var batch []sqs.Message
-		err := d.layer.Retrier().Do(ctx, "s3sdbsqs/wal-receive", func() error {
+		err := d.layer.Retrier.Do(ctx, "s3sdbsqs/wal-receive", func() error {
 			var rerr error
 			batch, rerr = d.cloud.SQS.ReceiveMessage(d.queue, 10, d.Visibility)
 			return rerr
@@ -335,7 +335,7 @@ func (d *CommitDaemon) commitTx(ctx context.Context, txid string, tx *txState) (
 			// per-version and idempotent.
 			continue
 		}
-		err = d.layer.Retrier().Do(ctx, "s3sdbsqs/commit-copy", func() error {
+		err = d.layer.Retrier.Do(ctx, "s3sdbsqs/commit-copy", func() error {
 			cerr := d.cloud.S3.Copy(d.layer.Bucket(), dm.TmpKey, d.layer.Bucket(), dm.RealKey, nil)
 			if errors.Is(cerr, s3.ErrNoSuchKey) {
 				retryTx = true // not propagated yet; retry next round
@@ -414,7 +414,7 @@ func (d *CommitDaemon) commitTx(ctx context.Context, txid string, tx *txState) (
 	// deletes are idempotent and retried on transient errors)...
 	for _, receipt := range tx.receipts {
 		r := receipt
-		err := d.layer.Retrier().Do(ctx, "s3sdbsqs/wal-delete", func() error {
+		err := d.layer.Retrier.Do(ctx, "s3sdbsqs/wal-delete", func() error {
 			return d.cloud.SQS.DeleteMessage(d.queue, r)
 		})
 		if err != nil {
@@ -427,7 +427,7 @@ func (d *CommitDaemon) commitTx(ctx context.Context, txid string, tx *txState) (
 	// ...and only then the temporary objects, preserving idempotent replay.
 	for _, dm := range dataMsgs {
 		key := dm.TmpKey
-		err := d.layer.Retrier().Do(ctx, "s3sdbsqs/tmp-delete", func() error {
+		err := d.layer.Retrier.Do(ctx, "s3sdbsqs/tmp-delete", func() error {
 			return d.cloud.S3.Delete(d.layer.Bucket(), key)
 		})
 		if err != nil {

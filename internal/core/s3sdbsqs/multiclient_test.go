@@ -60,7 +60,7 @@ func TestPerClientQueuesAreIsolated(t *testing.T) {
 			t.Fatalf("get %s via bob: %v", object, err)
 		}
 	}
-	all, err := stA.AllProvenance(ctx)
+	all, err := core.CollectRecords(stA.Query(ctx, prov.Q1()))
 	if err != nil || len(all) != 2 {
 		t.Fatalf("shared domain has %d subjects, %v", len(all), err)
 	}

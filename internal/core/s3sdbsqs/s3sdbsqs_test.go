@@ -422,12 +422,12 @@ func TestFullWorkloadThroughStore(t *testing.T) {
 	if err != nil || string(obj.Data) != "result" {
 		t.Fatalf("Get = %v, %v", obj, err)
 	}
-	outputs, err := st.OutputsOf(ctx, "tool")
+	outputs, err := core.CollectRefs(st.Query(ctx, prov.QOutputsOf("tool")))
 	if err != nil || len(outputs) != 1 {
 		t.Fatalf("OutputsOf = %v, %v", outputs, err)
 	}
 	// Causal ordering: the ancestor chain is complete.
-	desc, err := st.DescendantsOfOutputs(ctx, "tool")
+	desc, err := core.CollectRefs(st.Query(ctx, prov.QDescendantsOfOutputs("tool")))
 	if err != nil || len(desc) != 0 {
 		t.Fatalf("descendants = %v, %v", desc, err)
 	}

@@ -19,27 +19,7 @@ import (
 
 // Explain implements core.Querier.
 func (l *Layer) Explain(q prov.Query) core.QueryPlan {
-	// Predictions are exact only while every region mutation came from
-	// this client: the catalog never sees other writers' items.
-	p := core.QueryPlan{Arch: "simpledb", Exact: l.tracker.Foreign() == 0}
-	if err := q.Validate(); err != nil {
-		p.Strategy = "invalid"
-		return p
-	}
-	if q.Cursor != "" {
-		if core.ExplainCursor(&p, q, &l.pins, l.stampToken()) {
-			return p
-		}
-		// Evicted pin at an unchanged generation: fall through and cost the
-		// re-evaluation (free only when memoized or snapshot-warm).
-	}
-	stripped := q
-	stripped.Limit = 0
-	l.explainInto(&p, stripped)
-	if q.Limit > 0 {
-		p.AddStep("-", "paginate", 0, "first page evaluates fully, sorts and pins; later pages are free")
-	}
-	return p
+	return l.PlanQuery("simpledb", q, l.explainInto)
 }
 
 // explainInto fills the plan for a non-paginated descriptor.
@@ -90,7 +70,7 @@ func (l *Layer) explainInto(p *core.QueryPlan, q prov.Query) {
 // explainScan predicts the full-repository pass (or reports the warm
 // snapshot).
 func (l *Layer) explainScan(p *core.QueryPlan, note string) {
-	if l.cache != nil && l.cache.Warm() {
+	if l.Cache != nil && l.Cache.Warm() {
 		p.Cached = true
 		p.AddStep("-", "snapshot", 0, "warm snapshot: zero cloud ops")
 		return
@@ -106,7 +86,7 @@ func (l *Layer) explainScan(p *core.QueryPlan, note string) {
 // memoizedRefs reports whether q's reference set is memoized at the
 // current generation.
 func (l *Layer) memoizedRefs(q prov.Query) bool {
-	return l.cache != nil && l.cache.HasRefs(refsMemoKey(q))
+	return l.Cache != nil && l.Cache.HasRefs(refsMemoKey(q))
 }
 
 // planSim simulates the native refs pipeline against the planner catalog,

@@ -81,7 +81,7 @@ type itemNamePage struct {
 
 func (l *Layer) selectItemNames(ctx context.Context, token string) (itemNamePage, error) {
 	var page itemNamePage
-	err := l.retrier.Do(ctx, "sdbprov/reshard-select", func() error {
+	err := l.Retrier.Do(ctx, "sdbprov/reshard-select", func() error {
 		res, serr := l.cfg.Cloud.SDB.Select("select itemName() from "+l.cfg.Domain, token)
 		if serr != nil {
 			return serr
@@ -134,7 +134,7 @@ func (l *Layer) ExportArc(ctx context.Context, match func(prov.ObjectID) bool) (
 		delete(dataObjects, it.subject.Object) // one object, one data key
 		key := DataKey(it.subject.Object)
 		var obj *s3.Object
-		err := l.retrier.Do(ctx, "sdbprov/reshard-data-get", func() error {
+		err := l.Retrier.Do(ctx, "sdbprov/reshard-data-get", func() error {
 			var gerr error
 			obj, gerr = l.cfg.Cloud.S3.Get(l.cfg.Bucket, key)
 			return gerr
@@ -163,7 +163,7 @@ func (l *Layer) ImportArc(ctx context.Context, exp *core.ArcExport) error {
 	}
 	return l.TrackWrites(func() error {
 		for _, d := range payload.datas {
-			err := l.retrier.Do(ctx, "sdbprov/reshard-data-put", func() error {
+			err := l.Retrier.Do(ctx, "sdbprov/reshard-data-put", func() error {
 				return l.cfg.Cloud.S3.Put(l.cfg.Bucket, d.key, d.body, d.meta)
 			})
 			if err != nil {
@@ -177,7 +177,7 @@ func (l *Layer) ImportArc(ctx context.Context, exp *core.ArcExport) error {
 				return err
 			}
 			w := ItemWrite{Subject: it.subject, Records: encoded, MD5: it.md5}
-			if l.ledger != nil {
+			if l.Ledger != nil {
 				w.Leaf = integrity.SubjectHash(it.subject, it.records)
 			}
 			writes = append(writes, w)
@@ -204,12 +204,12 @@ func (l *Layer) RemoveArc(ctx context.Context, match func(prov.ObjectID) bool) (
 		// must still leave the commitment or the next audit flags a root
 		// mismatch against records that no longer exist.
 		var phantoms []string
-		if l.ledger != nil {
+		if l.Ledger != nil {
 			live := make(map[string]bool, len(items))
 			for _, item := range items {
 				live[item] = true
 			}
-			for _, slot := range l.ledger.Slots() {
+			for _, slot := range l.Ledger.Slots() {
 				if slot == LedgerItem || live[slot] {
 					continue
 				}
@@ -225,14 +225,14 @@ func (l *Layer) RemoveArc(ctx context.Context, match func(prov.ObjectID) bool) (
 			return nil
 		}
 		// Deletions change what queries see even if a later step fails.
-		defer l.gen.Bump()
+		defer l.InvalidateQueries()
 		seenObject := make(map[prov.ObjectID]bool)
 		for i, item := range items {
 			// Overflow and spill objects all live under the item's prefix.
 			if err := l.deletePrefix(ctx, OverflowPrefix+"/"+item+"/"); err != nil {
 				return err
 			}
-			err := l.retrier.Do(ctx, "sdbprov/reshard-delete-item", func() error {
+			err := l.Retrier.Do(ctx, "sdbprov/reshard-delete-item", func() error {
 				return l.cfg.Cloud.SDB.DeleteAttributes(l.cfg.Domain, item, nil)
 			})
 			if err != nil {
@@ -242,7 +242,7 @@ func (l *Layer) RemoveArc(ctx context.Context, match func(prov.ObjectID) bool) (
 			removed++
 			if object := refs[i].Object; !seenObject[object] {
 				seenObject[object] = true
-				err := l.retrier.Do(ctx, "sdbprov/reshard-delete-data", func() error {
+				err := l.Retrier.Do(ctx, "sdbprov/reshard-delete-data", func() error {
 					return l.cfg.Cloud.S3.Delete(l.cfg.Bucket, DataKey(object))
 				})
 				if err != nil {
@@ -263,7 +263,7 @@ func (l *Layer) deletePrefix(ctx context.Context, prefix string) error {
 			return err
 		}
 		var page *s3.ListPage
-		err := l.retrier.Do(ctx, "sdbprov/reshard-list", func() error {
+		err := l.Retrier.Do(ctx, "sdbprov/reshard-list", func() error {
 			var lerr error
 			page, lerr = l.cfg.Cloud.S3.List(l.cfg.Bucket, prefix, marker, 0)
 			return lerr
@@ -273,7 +273,7 @@ func (l *Layer) deletePrefix(ctx context.Context, prefix string) error {
 		}
 		for _, info := range page.Objects {
 			key := info.Key
-			err := l.retrier.Do(ctx, "sdbprov/reshard-delete", func() error {
+			err := l.Retrier.Do(ctx, "sdbprov/reshard-delete", func() error {
 				return l.cfg.Cloud.S3.Delete(l.cfg.Bucket, key)
 			})
 			if err != nil {

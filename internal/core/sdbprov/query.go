@@ -2,8 +2,6 @@ package sdbprov
 
 import (
 	"context"
-	"fmt"
-	"iter"
 	"strings"
 
 	"passcloud/internal/cloud/sdb"
@@ -23,11 +21,14 @@ import (
 //     expression joined with `intersection`, evaluated entirely inside
 //     SimpleDB — non-matching items' provenance is never fetched;
 //   - indexed-prefix: descendants of "every version with this ref prefix"
-//     as a single starts-with query (the Dependents idiom);
+//     as a single starts-with query (the prov.QDependents idiom: input
+//     values are "object:version", so ['input' starts-with 'object:']
+//     covers every version at once);
 //   - item-listing: refs-only enumeration from Select itemName();
 //   - scan / graph-walk: the Q.1 repository pass (or the warm snapshot),
-//     with the shared in-memory evaluator (core.EvalQuery) as the fallback
-//     for descriptors SimpleDB cannot push down.
+//     served by the layer's core.Kernel, with the shared in-memory
+//     evaluator (core.EvalQuery) as the fallback for descriptors SimpleDB
+//     cannot push down.
 //
 // Pushdown honesty: predicates compare against the *stored* encoding
 // (core.EscapeLiteral), because that is what SimpleDB indexed; the shared
@@ -39,8 +40,8 @@ import (
 // the architecture's documented blind spot; scan-backed plans see them.
 //
 // Results are memoized by the descriptor's canonical key (prov.Query.Key)
-// in the layer's generation-stamped cache, and paginated descriptors pin
-// their evaluation to the snapshot generation of the first page
+// in the kernel's generation-stamped cache, and the kernel pins paginated
+// descriptors' evaluations to the snapshot generation of the first page
 // (core.RunPaged), so page sequences stay consistent across concurrent
 // writes.
 
@@ -108,132 +109,72 @@ func (l *Layer) graphFallback(q prov.Query) bool {
 		(q.Direction == prov.TraverseDescendants && sp == seedAll)
 }
 
-// Query implements core.Querier. Entries stream in backend order; a
-// paginated descriptor (Limit/Cursor) returns one ref-sorted page whose
-// last entry carries the resume cursor.
-func (l *Layer) Query(ctx context.Context, q prov.Query) iter.Seq2[core.Entry, error] {
-	return func(yield func(core.Entry, error) bool) {
-		if err := q.Validate(); err != nil {
-			yield(core.Entry{}, err)
-			return
-		}
-		if q.Limit > 0 || q.Cursor != "" {
-			core.RunPaged(ctx, q, l.stampToken(), &l.pins, l.evalAll, yield)
-			return
-		}
-		l.runQuery(ctx, q, yield)
+// runNative answers a non-paginated descriptor with the layer's indexed
+// plans, reporting false for the graph-fallback shapes; the kernel streams
+// the plain Q.1 shape itself and evaluates the fallbacks on its graph.
+func (l *Layer) runNative(ctx context.Context, q prov.Query, yield func(core.Entry, error) bool) bool {
+	if l.graphFallback(q) {
+		return false
 	}
+	l.runIndexed(ctx, q, yield)
+	return true
 }
 
-// stampToken renders the repository generation cursors bind to.
-func (l *Layer) stampToken() string {
-	st := l.stamp()
-	return fmt.Sprintf("%d.%d", st.Gen, st.Epoch)
-}
-
-// StampToken implements core.Stamped: the repository generation this
-// layer's cursors bind to, exported for composing stores (the shard
-// router) that mint composite stamps.
-func (l *Layer) StampToken() string { return l.stampToken() }
-
-// evalAll materializes a full (non-paginated) evaluation for the paging
-// layer. Memoized refs make a re-evaluation at an unchanged generation
-// free.
-func (l *Layer) evalAll(ctx context.Context, q prov.Query) ([]core.Entry, error) {
-	var out []core.Entry
-	var ferr error
-	l.runQuery(ctx, q, func(e core.Entry, err error) bool {
-		if err != nil {
-			ferr = err
-			return false
-		}
-		out = append(out, e)
-		return true
-	})
-	return out, ferr
-}
-
-// runQuery executes one non-paginated descriptor.
-func (l *Layer) runQuery(ctx context.Context, q prov.Query, yield func(core.Entry, error) bool) {
-	switch {
-	case l.graphFallback(q):
-		g, err := l.ProvenanceGraph(ctx)
-		if err != nil {
-			yield(core.Entry{}, err)
-			return
-		}
-		for _, e := range core.EvalQuery(g, q) {
-			if !yield(e, nil) {
+// runIndexed streams an indexed plan's matches.
+func (l *Layer) runIndexed(ctx context.Context, q prov.Query, yield func(core.Entry, error) bool) {
+	refs, err := l.refsFor(ctx, q)
+	if err != nil {
+		yield(core.Entry{}, err)
+		return
+	}
+	if q.Projection == prov.ProjectRefs {
+		for _, r := range refs {
+			if !yield(core.Entry{Ref: r}, nil) {
 				return
 			}
 		}
-	case l.seedPlanOf(q) == seedAll && q.Direction == prov.TraverseNone && q.Projection == prov.ProjectFull:
-		// Q.1: stream the one-query-per-item scan (or the warm snapshot).
-		for entry, err := range l.AllProvenanceSeq(ctx) {
+		return
+	}
+	// Full projection: fetch the matched items only — never the rest of
+	// the repository (the pushdown dividend).
+	g := l.warmGraph()
+	for _, r := range refs {
+		var records []prov.Record
+		if g != nil {
+			records = g.Records(r)
+		} else {
+			if err := ctx.Err(); err != nil {
+				yield(core.Entry{}, err)
+				return
+			}
+			// A vanished item yields its ref with no records.
+			records, _, _, err = l.FetchItem(ctx, r)
 			if err != nil {
 				yield(core.Entry{}, err)
 				return
 			}
-			if !yield(entry, nil) {
-				return
-			}
 		}
-	default:
-		refs, err := l.refsFor(ctx, q)
-		if err != nil {
-			yield(core.Entry{}, err)
+		if !yield(core.Entry{Ref: r, Records: records}, nil) {
 			return
-		}
-		if q.Projection == prov.ProjectRefs {
-			for _, r := range refs {
-				if !yield(core.Entry{Ref: r}, nil) {
-					return
-				}
-			}
-			return
-		}
-		// Full projection: fetch the matched items only — never the rest
-		// of the repository (the pushdown dividend).
-		g := l.warmGraph()
-		for _, r := range refs {
-			var records []prov.Record
-			if g != nil {
-				records = g.Records(r)
-			} else {
-				if err := ctx.Err(); err != nil {
-					yield(core.Entry{}, err)
-					return
-				}
-				var ok bool
-				records, _, ok, err = l.FetchItem(ctx, r)
-				if err != nil {
-					yield(core.Entry{}, err)
-					return
-				}
-				_ = ok // a vanished item yields its ref with no records
-			}
-			if !yield(core.Entry{Ref: r, Records: records}, nil) {
-				return
-			}
 		}
 	}
 }
 
 // warmGraph returns the resident snapshot when valid, else nil.
 func (l *Layer) warmGraph() *prov.Graph {
-	if l.cache == nil {
+	if l.Cache == nil {
 		return nil
 	}
-	return l.cache.PeekGraph()
+	return l.Cache.PeekGraph()
 }
 
 // refsFor computes q's matched references, memoized under the descriptor's
 // canonical key for the current write generation.
 func (l *Layer) refsFor(ctx context.Context, q prov.Query) ([]prov.Ref, error) {
-	if l.cache == nil {
+	if l.Cache == nil {
 		return l.computeRefs(ctx, q)
 	}
-	refs, err := l.cache.Refs(ctx, refsMemoKey(q), func(ctx context.Context) ([]prov.Ref, error) {
+	refs, err := l.Cache.Refs(ctx, refsMemoKey(q), func(ctx context.Context) ([]prov.Ref, error) {
 		return l.computeRefs(ctx, q)
 	})
 	return qcache.CopyRefs(refs), err
@@ -664,36 +605,6 @@ func (l *Layer) dependentsOf(ctx context.Context, refs []prov.Ref, attrNames []s
 		}
 	}
 	return out, nil
-}
-
-// --- deprecated fixed verbs --------------------------------------------------
-
-// OutputsOf implements Q.2: instances of tool, then the files depending on
-// them — the QOutputsOf descriptor through the native engine, with the
-// type filter riding phase two's QueryWithAttributes.
-//
-// Deprecated: build prov.QOutputsOf and use Query.
-func (l *Layer) OutputsOf(ctx context.Context, tool string) ([]prov.Ref, error) {
-	return core.OutputsOf(ctx, l, tool)
-}
-
-// DescendantsOfOutputs implements Q.3 by iterated dependency queries:
-// "SimpleDB ... does not support recursive queries or stored procedures.
-// Hence, for ancestry queries, it has to retrieve each item ... then lookup
-// further ancestors."
-//
-// Deprecated: build prov.QDescendantsOfOutputs and use Query.
-func (l *Layer) DescendantsOfOutputs(ctx context.Context, tool string) ([]prov.Ref, error) {
-	return core.DescendantsOfOutputs(ctx, l, tool)
-}
-
-// Dependents finds items listing any version of object among their inputs,
-// with a single indexed prefix query: input values are "object:version", so
-// ['input' starts-with 'object:'] covers every version at once.
-//
-// Deprecated: build prov.QDependents and use Query.
-func (l *Layer) Dependents(ctx context.Context, object prov.ObjectID) ([]prov.Ref, error) {
-	return core.Dependents(ctx, l, object)
 }
 
 // escapeQuery escapes single quotes inside a bracket-language attribute

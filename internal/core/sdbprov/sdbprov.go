@@ -43,7 +43,6 @@ import (
 	"passcloud/internal/core"
 	"passcloud/internal/core/integrity"
 	"passcloud/internal/core/planner"
-	"passcloud/internal/core/qcache"
 	"passcloud/internal/prov"
 	"passcloud/internal/sim"
 )
@@ -125,32 +124,16 @@ type Config struct {
 	DisableIntegrity bool
 }
 
-// Layer is the shared provenance store.
+// Layer is the shared provenance store. Its kernel's retrier is shared
+// with the protocol code built on the layer (stores, commit daemon,
+// cleaner), so one run's retry overhead is metered in one place; its
+// ledger's checkpoints ride batch writes as the x-root attribute.
 type Layer struct {
+	*core.Kernel
 	cfg Config
 
-	// gen counts provenance writes; cache (nil when disabled) memoizes
-	// query results and the scanned graph while gen is unchanged.
-	gen   qcache.Generation
-	cache *qcache.Cache
-	// stamp samples the repository generation independently of the cache;
-	// pagination cursors bind to it.
-	stamp qcache.StampFunc
-	// pins retains paginated queries' evaluated result sets.
-	pins core.Pins
-	// catalog mirrors this client's writes for Explain's cost predictions;
-	// tracker tells the planner whether anything else wrote to the shared
-	// region (predictions then degrade to estimates).
+	// catalog mirrors this client's writes for Explain's cost predictions.
 	catalog *planner.SDBCatalog
-	tracker *qcache.WriteTracker
-	// retrier backs off and retries transient cloud errors on every call
-	// the layer issues; its meters feed the cost harness's retry-overhead
-	// report.
-	retrier *retry.Retrier
-	// ledger rolls the Merkle commitment over committed items (nil when
-	// integrity is disabled); its checkpoints ride batch writes as the
-	// x-root attribute.
-	ledger *integrity.Ledger
 }
 
 // New builds the layer, creating bucket and domain if needed.
@@ -178,58 +161,32 @@ func New(cfg Config) (*Layer, error) {
 		step := cfg.Cloud.S3.MaxDelay()/4 + time.Millisecond
 		cfg.RetryWait = func() { clock.Advance(step) }
 	}
-	l := &Layer{
-		cfg:     cfg,
-		catalog: planner.NewSDBCatalog(),
-		tracker: qcache.NewWriteTracker(cfg.Cloud),
-		retrier: retry.New(cfg.Retry, cfg.Cloud.Clock, cfg.Cloud.RNG),
-	}
-	if !cfg.DisableIntegrity {
-		l.ledger = integrity.NewLedger(cfg.Writer)
-	}
-	// Resource creation meters as a mutation (CreateBucket is an S3 PUT);
-	// track it so a solo client's plans stay exact.
-	err := l.tracker.Track(func() error {
-		//passvet:allow retrywrap -- one-shot namespace setup at construction: no caller context exists yet, and a failure surfaces directly instead of being retried behind the builder's back
-		if err := cfg.Cloud.S3.CreateBucket(cfg.Bucket); err != nil && !errors.Is(err, s3.ErrBucketAlreadyExists) {
-			return err
-		}
-		//passvet:allow retrywrap -- one-shot namespace setup at construction: no caller context exists yet, and a failure surfaces directly instead of being retried behind the builder's back
-		if err := cfg.Cloud.SDB.CreateDomain(cfg.Domain); err != nil && !errors.Is(err, sdb.ErrDomainExists) {
-			return err
-		}
-		return nil
+	l := &Layer{cfg: cfg, catalog: planner.NewSDBCatalog()}
+	k, err := core.NewKernel(core.KernelConfig{
+		Cloud: cfg.Cloud,
+		Setup: func() error {
+			//passvet:allow retrywrap -- one-shot namespace setup at construction: no caller context exists yet, and a failure surfaces directly instead of being retried behind the builder's back
+			if err := cfg.Cloud.S3.CreateBucket(cfg.Bucket); err != nil && !errors.Is(err, s3.ErrBucketAlreadyExists) {
+				return err
+			}
+			//passvet:allow retrywrap -- one-shot namespace setup at construction: no caller context exists yet, and a failure surfaces directly instead of being retried behind the builder's back
+			if err := cfg.Cloud.SDB.CreateDomain(cfg.Domain); err != nil && !errors.Is(err, sdb.ErrDomainExists) {
+				return err
+			}
+			return nil
+		},
+		Scan:              l.scanSeq,
+		Native:            l.runNative,
+		DisableQueryCache: cfg.DisableQueryCache,
+		Retry:             cfg.Retry,
+		Writer:            cfg.Writer,
+		DisableIntegrity:  cfg.DisableIntegrity,
 	})
 	if err != nil {
 		return nil, err
 	}
-	l.stamp = qcache.CloudStamp(&l.gen, cfg.Cloud)
-	if !cfg.DisableQueryCache {
-		l.cache = qcache.New(l.stamp)
-	}
+	l.Kernel = k
 	return l, nil
-}
-
-// TrackWrites runs one of this client's outermost write sections under
-// the planner's write tracker, so the mutations it meters count as own.
-// Do not nest tracked sections — attribution would double-count.
-func (l *Layer) TrackWrites(f func() error) error { return l.tracker.Track(f) }
-
-// ForeignWrites reports region mutations this client did not perform.
-func (l *Layer) ForeignWrites() uint64 { return l.tracker.Foreign() }
-
-// InvalidateQueries bumps the layer's write generation, expiring every
-// cached snapshot and memoized query result. Layer write paths call it
-// themselves; callers that mutate the domain behind the layer's back
-// (orphan-scan deletions, shared-domain writers) must call it too.
-func (l *Layer) InvalidateQueries() { l.gen.Bump() }
-
-// CacheStats exposes the query-cache counters (zero when disabled).
-func (l *Layer) CacheStats() qcache.Stats {
-	if l.cache == nil {
-		return qcache.Stats{}
-	}
-	return l.cache.Stats()
 }
 
 // ConsistencyWait blocks (in simulated time) for one full propagation
@@ -241,14 +198,6 @@ func (l *Layer) ConsistencyWait() {
 		l.cfg.RetryWait()
 	}
 }
-
-// Retrier returns the layer's retry executor, shared with the protocol code
-// built on the layer (stores, commit daemon, cleaner) so one run's retry
-// overhead is metered in one place.
-func (l *Layer) Retrier() *retry.Retrier { return l.retrier }
-
-// RetryStats snapshots the layer's retry counters.
-func (l *Layer) RetryStats() retry.Snapshot { return l.retrier.Snapshot() }
 
 // Bucket returns the S3 bucket name.
 func (l *Layer) Bucket() string { return l.cfg.Bucket }
@@ -297,7 +246,7 @@ func (l *Layer) EncodeValues(ctx context.Context, subject prov.Ref, records []pr
 			overflowN++
 			// Re-PUT of the same key/content is idempotent, so a retry
 			// after a lost response cannot double-apply.
-			err := l.retrier.Do(ctx, "sdbprov/overflow-put", func() error {
+			err := l.Retrier.Do(ctx, "sdbprov/overflow-put", func() error {
 				return l.cfg.Cloud.S3.Put(l.cfg.Bucket, okey, []byte(value), nil)
 			})
 			if err != nil {
@@ -360,7 +309,7 @@ func (l *Layer) buildAttrs(ctx context.Context, subject prov.Ref, encoded []prov
 			return nil, nil, err
 		}
 		mkey := fmt.Sprintf("%s/%s/more", OverflowPrefix, item)
-		err = l.retrier.Do(ctx, "sdbprov/spill-put", func() error {
+		err = l.Retrier.Do(ctx, "sdbprov/spill-put", func() error {
 			return l.cfg.Cloud.S3.Put(l.cfg.Bucket, mkey, blob, nil)
 		})
 		if err != nil {
@@ -383,7 +332,7 @@ func (l *Layer) buildAttrs(ctx context.Context, subject prov.Ref, encoded []prov
 func (l *Layer) WriteEncoded(ctx context.Context, subject prov.Ref, encoded []prov.Record, md5hex, faultPrefix string) error {
 	// Invalidate cached query state even on failure: a partial chunked
 	// write is already visible to queries.
-	defer l.gen.Bump()
+	defer l.InvalidateQueries()
 	attrs, observe, err := l.buildAttrs(ctx, subject, encoded, md5hex, "", faultPrefix)
 	if err != nil {
 		return err
@@ -406,7 +355,7 @@ func (l *Layer) putChunked(ctx context.Context, subject prov.Ref, attrs []sdb.Re
 		chunk := attrs[start:end]
 		// PutAttributes is idempotent (§2.2): the same (name, value) pairs
 		// collapse, so a retried-after-lost-response chunk cannot duplicate.
-		err := l.retrier.Do(ctx, "sdbprov/put-attributes", func() error {
+		err := l.Retrier.Do(ctx, "sdbprov/put-attributes", func() error {
 			return l.cfg.Cloud.SDB.PutAttributes(l.cfg.Domain, item, chunk)
 		})
 		if err != nil {
@@ -468,10 +417,10 @@ func (l *Layer) WriteEncodedBatch(ctx context.Context, writes []ItemWrite, fault
 	if len(writes) > 0 {
 		// Invalidate cached query state even on failure: earlier groups of
 		// a partially written batch are already visible to queries.
-		defer l.gen.Bump()
+		defer l.InvalidateQueries()
 	}
 	rootToken := ""
-	if l.ledger != nil {
+	if l.Ledger != nil {
 		slots := make(map[string][]string)
 		for _, w := range writes {
 			if w.Leaf == "" {
@@ -481,7 +430,7 @@ func (l *Layer) WriteEncodedBatch(ctx context.Context, writes []ItemWrite, fault
 			slots[item] = append(slots[item], w.Leaf)
 		}
 		if len(slots) > 0 {
-			rootToken = l.ledger.Commit(slots).Token()
+			rootToken = l.Ledger.Commit(slots).Token()
 		}
 	}
 	var landed []prov.Ref
@@ -493,7 +442,7 @@ func (l *Layer) WriteEncodedBatch(ctx context.Context, writes []ItemWrite, fault
 			return nil
 		}
 		batch := group
-		err := l.retrier.Do(ctx, "sdbprov/batch-put", func() error {
+		err := l.Retrier.Do(ctx, "sdbprov/batch-put", func() error {
 			return l.cfg.Cloud.SDB.BatchPutAttributes(l.cfg.Domain, batch)
 		})
 		if err != nil {
@@ -564,7 +513,7 @@ func (l *Layer) WriteEncodedBatch(ctx context.Context, writes []ItemWrite, fault
 func (l *Layer) FetchItem(ctx context.Context, subject prov.Ref) (records []prov.Record, md5hex string, ok bool, err error) {
 	item := prov.EncodeItemName(subject)
 	var attrs []sdb.Attr
-	err = l.retrier.Do(ctx, "sdbprov/get-attributes", func() error {
+	err = l.Retrier.Do(ctx, "sdbprov/get-attributes", func() error {
 		var gerr error
 		attrs, ok, gerr = l.cfg.Cloud.SDB.GetAttributes(l.cfg.Domain, item)
 		return gerr
@@ -605,7 +554,7 @@ func (l *Layer) decodeAttrs(ctx context.Context, subject prov.Ref, attrs []sdb.A
 	}
 	if moreKey != "" {
 		var obj *s3.Object
-		err := l.retrier.Do(ctx, "sdbprov/spill-get", func() error {
+		err := l.Retrier.Do(ctx, "sdbprov/spill-get", func() error {
 			var gerr error
 			obj, gerr = l.cfg.Cloud.S3.Get(l.cfg.Bucket, moreKey)
 			return gerr
@@ -639,7 +588,7 @@ func (l *Layer) decodeStored(ctx context.Context, subject prov.Ref, attr, raw st
 		okey, literal, isPtr := core.DecodeValue(raw)
 		if isPtr {
 			var obj *s3.Object
-			err := l.retrier.Do(ctx, "sdbprov/overflow-get", func() error {
+			err := l.Retrier.Do(ctx, "sdbprov/overflow-get", func() error {
 				var gerr error
 				obj, gerr = l.cfg.Cloud.S3.Get(l.cfg.Bucket, okey)
 				return gerr
@@ -675,7 +624,7 @@ func (l *Layer) VerifiedGet(ctx context.Context, object prov.ObjectID) (*core.Ob
 		}
 
 		var obj *s3.Object
-		err := l.retrier.Do(ctx, "sdbprov/data-get", func() error {
+		err := l.Retrier.Do(ctx, "sdbprov/data-get", func() error {
 			var gerr error
 			obj, gerr = l.cfg.Cloud.S3.Get(l.cfg.Bucket, DataKey(object))
 			return gerr
@@ -715,31 +664,10 @@ func (l *Layer) VerifiedGet(ctx context.Context, object prov.ObjectID) (*core.Ob
 
 // --- query engine (Table 3, SimpleDB column) --------------------------------
 
-// AllProvenanceSeq streams every item's provenance one object version at a
-// time: "there is no way for SimpleDB to generalize the query and needs to
-// issue one query per item" (§5, Q.1). With the cache disabled, pagination
-// means only one Select page plus one item are resident at once; with the
-// cache enabled, entries come from the (built-if-needed) snapshot — zero
-// cloud ops when warm.
-func (l *Layer) AllProvenanceSeq(ctx context.Context) iter.Seq2[core.Entry, error] {
-	if l.cache == nil {
-		return l.scanSeq(ctx)
-	}
-	return func(yield func(core.Entry, error) bool) {
-		g, err := l.snapshot(ctx)
-		if err != nil {
-			yield(core.Entry{}, err)
-			return
-		}
-		for _, subject := range g.Subjects() {
-			if !yield(core.Entry{Ref: subject, Records: g.Records(subject)}, nil) {
-				return
-			}
-		}
-	}
-}
-
-// scanSeq is the live one-query-per-item repository scan.
+// scanSeq is the live one-query-per-item repository scan: "there is no way
+// for SimpleDB to generalize the query and needs to issue one query per
+// item" (§5, Q.1). Pagination means only one Select page plus one item are
+// resident at once.
 func (l *Layer) scanSeq(ctx context.Context) iter.Seq2[core.Entry, error] {
 	return func(yield func(core.Entry, error) bool) {
 		token := ""
@@ -778,57 +706,7 @@ func (l *Layer) scanSeq(ctx context.Context) iter.Seq2[core.Entry, error] {
 	}
 }
 
-// AllProvenance materializes the repository's provenance into a map (Q.1
-// over all objects, for callers that need the whole repository at once) —
-// from the snapshot cache when enabled.
-func (l *Layer) AllProvenance(ctx context.Context) (map[prov.Ref][]prov.Record, error) {
-	if l.cache != nil {
-		g, err := l.snapshot(ctx)
-		if err != nil {
-			return nil, err
-		}
-		return qcache.MapFromGraph(g), nil
-	}
-	out := make(map[prov.Ref][]prov.Record)
-	for entry, err := range l.scanSeq(ctx) {
-		if err != nil {
-			return nil, err
-		}
-		out[entry.Ref] = entry.Records
-	}
-	return out, nil
-}
-
-// buildGraph materializes the scan into a provenance graph.
-func (l *Layer) buildGraph(ctx context.Context) (*prov.Graph, error) {
-	g := prov.NewGraph()
-	for entry, err := range l.scanSeq(ctx) {
-		if err != nil {
-			return nil, err
-		}
-		g.AddAll(entry.Records)
-	}
-	return g, nil
-}
-
-// snapshot returns the cached graph, building it (singleflight) on a miss.
-func (l *Layer) snapshot(ctx context.Context) (*prov.Graph, error) {
-	return l.cache.Graph(ctx, l.buildGraph)
-}
-
-// ProvenanceGraph returns the repository graph, shared from the snapshot
-// cache when warm. Read-only.
-func (l *Layer) ProvenanceGraph(ctx context.Context) (*prov.Graph, error) {
-	if l.cache != nil {
-		return l.snapshot(ctx)
-	}
-	return l.buildGraph(ctx)
-}
-
 // --- integrity (chain/ledger/audit) -----------------------------------------
-
-// IntegrityEnabled reports whether the layer maintains the Merkle ledger.
-func (l *Layer) IntegrityEnabled() bool { return l.ledger != nil }
 
 // DropFromLedger removes deleted items' leaves from the Merkle ledger and
 // re-persists a fresh checkpoint on the dedicated ledger item, so the
@@ -836,15 +714,15 @@ func (l *Layer) IntegrityEnabled() bool { return l.ledger != nil }
 // flagging it. This is the one place a checkpoint costs its own SimpleDB
 // call — a recovery path, never the healthy write path.
 func (l *Layer) DropFromLedger(ctx context.Context, items []string) error {
-	if l.ledger == nil || len(items) == 0 {
+	if l.Ledger == nil || len(items) == 0 {
 		return nil
 	}
 	for _, item := range items {
-		l.ledger.Remove(item)
+		l.Ledger.Remove(item)
 	}
-	cp := l.ledger.Commit(nil)
+	cp := l.Ledger.Commit(nil)
 	attrs := []sdb.ReplaceableAttr{{Name: integrity.AttrRoot, Value: cp.Token(), Replace: true}}
-	err := l.retrier.Do(ctx, "sdbprov/ledger-put", func() error {
+	err := l.Retrier.Do(ctx, "sdbprov/ledger-put", func() error {
 		return l.cfg.Cloud.SDB.PutAttributes(l.cfg.Domain, LedgerItem, attrs)
 	})
 	if err != nil {
@@ -863,23 +741,13 @@ func (l *Layer) Audit(ctx context.Context) (*integrity.Audit, error) {
 		Entries:        make(map[prov.Ref][]prov.Record),
 		RetainsHistory: true, // items are per-version and never reclaimed
 	}
-	addCheckpoint := func(token string) {
-		if token == "" {
-			return
-		}
-		// A rider that no longer parses was tampered with; dropping it
-		// surfaces as a stale or missing checkpoint downstream.
-		if cp, err := integrity.ParseCheckpoint(token); err == nil {
-			a.Checkpoints = append(a.Checkpoints, cp)
-		}
-	}
 	token := ""
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		var res *sdb.SelectResult
-		err := l.retrier.Do(ctx, "sdbprov/audit-select", func() error {
+		err := l.Retrier.Do(ctx, "sdbprov/audit-select", func() error {
 			var serr error
 			res, serr = l.cfg.Cloud.SDB.Select("select itemName() from "+l.cfg.Domain, token)
 			return serr
@@ -894,7 +762,7 @@ func (l *Layer) Audit(ctx context.Context) (*integrity.Audit, error) {
 			name := item.Name
 			var attrs []sdb.Attr
 			var ok bool
-			err := l.retrier.Do(ctx, "sdbprov/audit-get", func() error {
+			err := l.Retrier.Do(ctx, "sdbprov/audit-get", func() error {
 				var gerr error
 				attrs, ok, gerr = l.cfg.Cloud.SDB.GetAttributes(l.cfg.Domain, name)
 				return gerr
@@ -910,7 +778,7 @@ func (l *Layer) Audit(ctx context.Context) (*integrity.Audit, error) {
 				// The ledger item (or a foreign item): harvest any rider.
 				for _, at := range attrs {
 					if at.Name == integrity.AttrRoot {
-						addCheckpoint(at.Value)
+						a.AddCheckpoint(at.Value)
 					}
 				}
 				continue
@@ -920,7 +788,7 @@ func (l *Layer) Audit(ctx context.Context) (*integrity.Audit, error) {
 				return nil, err
 			}
 			a.Entries[ref] = records
-			addCheckpoint(rider)
+			a.AddCheckpoint(rider)
 		}
 		if res.NextToken == "" {
 			return a, nil

@@ -946,7 +946,7 @@ func (e *env) checkInvariants(ctx context.Context, cfg Config, sys *pass.System,
 		v = append(v, fmt.Sprintf("mirror build failed: %v", err))
 		return v
 	}
-	uncached, err := core.AllProvenance(ctx, mirror)
+	uncached, err := core.CollectRecords(mirror.Query(ctx, prov.Q1()))
 	if err != nil {
 		v = append(v, fmt.Sprintf("uncached scan failed: %v", err))
 		return v
@@ -964,14 +964,14 @@ func (e *env) checkInvariants(ctx context.Context, cfg Config, sys *pass.System,
 		}
 	}
 	if q, ok := e.store.(core.Querier); ok {
-		cached, err := core.AllProvenance(ctx, q)
+		cached, err := core.CollectRecords(q.Query(ctx, prov.Q1()))
 		if err != nil {
 			v = append(v, fmt.Sprintf("cached scan failed: %v", err))
 		} else if diff := diffProvenance(cached, uncached); diff != "" {
 			v = append(v, "query cache stale after failed/retried writes: "+diff)
 		} else {
 			// Repeat on the warm path: the memoized answer must agree too.
-			again, err := core.AllProvenance(ctx, q)
+			again, err := core.CollectRecords(q.Query(ctx, prov.Q1()))
 			if err != nil {
 				v = append(v, fmt.Sprintf("warm cached scan failed: %v", err))
 			} else if diff := diffProvenance(again, uncached); diff != "" {
@@ -1095,7 +1095,7 @@ func (e *env) digest(ctx context.Context) string {
 				token = res.NextToken
 			}
 		} else if q, ok := se.store.(core.Querier); ok {
-			all, err := core.AllProvenance(ctx, q)
+			all, err := core.CollectRecords(q.Query(ctx, prov.Q1()))
 			if err == nil {
 				for ref, records := range all {
 					entries = append(entries, fmt.Sprintf("shard%d item %s\n%s", si, ref, canonRecords(records)))

@@ -12,6 +12,7 @@ import (
 	"passcloud/internal/core/s3sdb"
 	"passcloud/internal/core/s3sdbsqs"
 	"passcloud/internal/pass"
+	"passcloud/internal/prov"
 	"passcloud/internal/sim"
 	"passcloud/internal/workload"
 )
@@ -257,15 +258,15 @@ func (h *Harness) Table3Measured(ctx context.Context) (*Table3, error) {
 	}
 	queries := []queryFn{
 		{"Q.1", func(q core.Querier) (int, error) {
-			all, err := core.AllProvenance(ctx, q)
+			all, err := core.CollectRecords(q.Query(ctx, prov.Q1()))
 			return len(all), err
 		}},
 		{"Q.2", func(q core.Querier) (int, error) {
-			refs, err := core.OutputsOf(ctx, q, h.Tool)
+			refs, err := core.CollectRefs(q.Query(ctx, prov.QOutputsOf(h.Tool)))
 			return len(refs), err
 		}},
 		{"Q.3", func(q core.Querier) (int, error) {
-			refs, err := core.DescendantsOfOutputs(ctx, q, h.Tool)
+			refs, err := core.CollectRefs(q.Query(ctx, prov.QDescendantsOfOutputs(h.Tool)))
 			return len(refs), err
 		}},
 	}

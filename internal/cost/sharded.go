@@ -15,6 +15,7 @@ import (
 	"passcloud/internal/core/s3sdbsqs"
 	"passcloud/internal/core/shard"
 	"passcloud/internal/pass"
+	"passcloud/internal/prov"
 	"passcloud/internal/sim"
 	"passcloud/internal/workload"
 )
@@ -262,15 +263,15 @@ func (h *Harness) shardedRun(ctx context.Context, arch string, n int) (*ShardedR
 		}
 		queries := []queryFn{
 			{"Q.1", func() (int, error) {
-				all, err := core.AllProvenance(ctx, querier)
+				all, err := core.CollectRecords(querier.Query(ctx, prov.Q1()))
 				return len(all), err
 			}},
 			{"Q.2", func() (int, error) {
-				refs, err := core.OutputsOf(ctx, querier, h.Tool)
+				refs, err := core.CollectRefs(querier.Query(ctx, prov.QOutputsOf(h.Tool)))
 				return len(refs), err
 			}},
 			{"Q.3", func() (int, error) {
-				refs, err := core.DescendantsOfOutputs(ctx, querier, h.Tool)
+				refs, err := core.CollectRefs(querier.Query(ctx, prov.QDescendantsOfOutputs(h.Tool)))
 				return len(refs), err
 			}},
 		}

@@ -7,10 +7,8 @@ import (
 	"strings"
 )
 
-// This file defines the composable query descriptor that replaced the
-// fixed-verb query surface (AllProvenance / OutputsOf / DescendantsOfOutputs
-// / Ancestors / Dependents). The paper's evaluation hardcodes three query
-// classes; real provenance consumers ask arbitrary parameterized questions —
+// This file defines the composable query descriptor. The paper's
+// evaluation hardcodes three query classes; real provenance consumers ask arbitrary parameterized questions —
 // by tool, by attribute, by lineage direction — so the descriptor carries
 // filters, a traversal, a projection, and pagination, and every backend
 // compiles it into its own cheapest plan.
@@ -230,11 +228,10 @@ func (q Query) RefsKey() string {
 	return q.Key()
 }
 
-// --- fixed-verb compilers ----------------------------------------------------
+// --- the paper's queries -----------------------------------------------------
 //
-// The deprecated verbs of the original core.Querier compile to these
-// descriptors; each backend's native plan reproduces the verb's exact cloud
-// ops, so the paper's Table 3 is unchanged.
+// Each backend's native plan for these descriptors meters exactly the
+// paper's cloud ops, so Table 3 is measured through them.
 
 // Q1 compiles the paper's Q.1: the provenance of every object version.
 func Q1() Query { return Query{Projection: ProjectFull} }

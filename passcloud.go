@@ -435,109 +435,11 @@ func (c *Client) ProvenanceSeq(ctx context.Context, ref Ref) iter.Seq2[Record, e
 	}
 }
 
-// OutputsOf finds the files written by instances of the named tool (Q.2).
-// It compiles to the descriptor {Tool: tool, Type: "file", RefsOnly: true}
-// with byte-identical cloud ops.
-//
-// Deprecated: use Search with a QuerySpec.
-func (c *Client) OutputsOf(ctx context.Context, tool string) ([]Ref, error) {
-	q, err := c.querier()
-	if err != nil {
-		return nil, err
-	}
-	refs, err := core.OutputsOf(ctx, q, tool)
-	return toPublicRefs(refs), err
-}
-
-// DescendantsOfOutputs finds everything derived from the named tool's
-// outputs (Q.3) — the paper's flawed-tool scenario. It compiles to the Q.2
-// descriptor plus Direction: TraverseDescendants.
-//
-// Deprecated: use Search with a QuerySpec.
-func (c *Client) DescendantsOfOutputs(ctx context.Context, tool string) ([]Ref, error) {
-	q, err := c.querier()
-	if err != nil {
-		return nil, err
-	}
-	refs, err := core.DescendantsOfOutputs(ctx, q, tool)
-	return toPublicRefs(refs), err
-}
-
-// Ancestors returns every object version in ref's ancestry. It compiles to
-// the descriptor {Refs: [ref], Direction: TraverseAncestors}, which every
-// backend answers from the repository's provenance graph — with the query
-// cache enabled (default) the walk runs on the store's shared snapshot,
-// zero cloud ops once warm; on the S3-only architecture a cold call scans.
-//
-// Deprecated: use Search with a QuerySpec.
-func (c *Client) Ancestors(ctx context.Context, ref Ref) ([]Ref, error) {
-	q, err := c.querier()
-	if err != nil {
-		return nil, err
-	}
-	refs, err := core.CollectRefs(q.Query(ctx, prov.QAncestors(toInternalRef(ref))))
-	return toPublicRefs(refs), err
-}
-
-// AllProvenance retrieves the provenance of every object version (Q.1 over
-// all objects), materialized as a map. For large repositories with
-// Options.DisableQueryCache set, prefer AllProvenanceSeq, which then
-// streams; with the cache enabled both share one resident snapshot.
-//
-// Deprecated: use Search with a zero QuerySpec.
-func (c *Client) AllProvenance(ctx context.Context) (map[Ref][]Record, error) {
-	q, err := c.querier()
-	if err != nil {
-		return nil, err
-	}
-	all, err := core.AllProvenance(ctx, q)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[Ref][]Record, len(all))
-	for ref, records := range all {
-		out[toPublicRef(ref)] = toPublicRecords(records)
-	}
-	return out, nil
-}
-
-// ProvenanceEntry is one object version's provenance, as yielded by
-// AllProvenanceSeq.
+// ProvenanceEntry is one object version's provenance, as returned by
+// Search and yielded by SearchSeq.
 type ProvenanceEntry struct {
 	Ref     Ref
 	Records []Record
-}
-
-// AllProvenanceSeq streams the provenance of every object version in the
-// repository. A non-nil error ends the sequence (its entry is zero);
-// breaking early is allowed.
-//
-// Memory behavior depends on Options.DisableQueryCache. With the cache
-// enabled (default), entries are yielded from the repository snapshot —
-// the graph is resident (shared with every other query), entries are
-// merged one per subject, and a warm repeat costs zero cloud ops. With
-// the cache disabled this is a live scan: one Select/LIST page and one
-// item resident at a time, breaking early releases the scan, and on the
-// S3-only architecture a subject whose records rode more than one carrier
-// PUT may be yielded more than once.
-func (c *Client) AllProvenanceSeq(ctx context.Context) iter.Seq2[ProvenanceEntry, error] {
-	return func(yield func(ProvenanceEntry, error) bool) {
-		q, err := c.querier()
-		if err != nil {
-			yield(ProvenanceEntry{}, err)
-			return
-		}
-		for entry, err := range core.AllProvenanceSeq(ctx, q) {
-			if err != nil {
-				yield(ProvenanceEntry{}, err)
-				return
-			}
-			pub := ProvenanceEntry{Ref: toPublicRef(entry.Ref), Records: toPublicRecords(entry.Records)}
-			if !yield(pub, nil) {
-				return
-			}
-		}
-	}
 }
 
 func (c *Client) querier() (core.Querier, error) {

@@ -217,22 +217,6 @@ func clientLabel(id string) string {
 	return id
 }
 
-// Dependents returns every object version that directly consumed any
-// version of path — the provenance-aware deletion check. It compiles to
-// the descriptor {RefPrefix: path + ":", Direction: TraverseDescendants,
-// Depth: 1, IncludeSeeds: true}: one indexed starts-with query on the
-// SimpleDB architectures.
-//
-// Deprecated: use Search with a QuerySpec.
-func (c *Client) Dependents(ctx context.Context, path string) ([]Ref, error) {
-	q, err := c.querier()
-	if err != nil {
-		return nil, err
-	}
-	refs, err := core.Dependents(ctx, q, prov.ObjectID(path))
-	return toPublicRefs(refs), err
-}
-
 // ErrHasDependents is returned by SafeDelete when living derivations exist.
 type ErrHasDependents struct {
 	Object     string
@@ -250,13 +234,22 @@ func (e *ErrHasDependents) Error() string {
 // a cloud could offer once it holds the provenance ("the provenance stored
 // with the data presents AWS cloud with many hints"). The provenance record
 // itself is retained: lineage of deleted data is still history.
+//
+// The check is one descriptor: every version whose inputs name any version
+// of path ({RefPrefix: path + ":", Direction: TraverseDescendants, Depth:
+// 1, IncludeSeeds: true}), one indexed starts-with query on the SimpleDB
+// architectures.
 func (c *Client) SafeDelete(ctx context.Context, path string) error {
-	deps, err := c.Dependents(ctx, path)
+	q, err := c.querier()
+	if err != nil {
+		return err
+	}
+	deps, err := core.CollectRefs(q.Query(ctx, prov.QDependents(prov.ObjectID(path))))
 	if err != nil {
 		return err
 	}
 	if len(deps) > 0 {
-		return &ErrHasDependents{Object: path, Dependents: deps}
+		return &ErrHasDependents{Object: path, Dependents: toPublicRefs(deps)}
 	}
 	return c.deleteData(path)
 }

@@ -10,9 +10,9 @@ import (
 	"passcloud/internal/prov"
 )
 
-// This file is the public composable query surface (Query API v2): one
-// QuerySpec descriptor answers every lineage question the fixed verbs
-// answered — and every parameterized variation of them — with filters
+// This file is the public query surface (Query API v2): one QuerySpec
+// descriptor answers every lineage question the paper asks — and every
+// parameterized variation of them — with filters
 // pushed into the storage backend, results paginated behind snapshot-pinned
 // cursors, and a cost planner (Explain) that predicts the cloud bill of a
 // query before it runs.
@@ -109,6 +109,15 @@ type SearchResult struct {
 	Cursor string
 }
 
+// Refs returns the matched references, in result order.
+func (r *SearchResult) Refs() []Ref {
+	refs := make([]Ref, len(r.Entries))
+	for i, e := range r.Entries {
+		refs[i] = e.Ref
+	}
+	return refs
+}
+
 // Cursor errors, re-exported for errors.Is.
 var (
 	// ErrBadCursor: the cursor is malformed or belongs to a different
@@ -146,6 +155,16 @@ func (c *Client) Search(ctx context.Context, spec QuerySpec) (*SearchResult, err
 // sequence (its entry is zero); breaking early is allowed and releases the
 // underlying scan. For paginated specs, prefer Search — the resume cursor
 // is surfaced on SearchResult.
+//
+// For the zero spec (every object version's provenance, the paper's Q.1)
+// memory behavior depends on Options.DisableQueryCache. With the cache
+// enabled (default), entries are yielded from the repository snapshot —
+// the graph is resident (shared with every other query), entries are
+// merged one per subject, and a warm repeat costs zero cloud ops. With
+// the cache disabled this is a live scan: one Select/LIST page and one
+// item resident at a time, breaking early releases the scan, and on the
+// S3-only architecture a subject whose records rode more than one carrier
+// PUT may be yielded more than once.
 func (c *Client) SearchSeq(ctx context.Context, spec QuerySpec) iter.Seq2[ProvenanceEntry, error] {
 	return func(yield func(ProvenanceEntry, error) bool) {
 		q, err := c.querier()

@@ -4,8 +4,62 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
+
+	"passcloud/internal/prov"
 )
+
+// The paper's queries as QuerySpecs — the README's "Paper queries as
+// QuerySpecs" table. TestPaperQuerySpecsCompile pins each to its internal
+// descriptor.
+
+func outputsSpec(tool string) QuerySpec {
+	return QuerySpec{Tool: tool, Type: "file", RefsOnly: true}
+}
+
+func descendantsSpec(tool string) QuerySpec {
+	return QuerySpec{Tool: tool, Type: "file", Direction: TraverseDescendants, RefsOnly: true}
+}
+
+func ancestorsSpec(ref Ref) QuerySpec {
+	return QuerySpec{Refs: []Ref{ref}, Direction: TraverseAncestors, RefsOnly: true}
+}
+
+func dependentsSpec(path string) QuerySpec {
+	return QuerySpec{RefPrefix: path + ":", Direction: TraverseDescendants, Depth: 1, IncludeSeeds: true, RefsOnly: true}
+}
+
+// searchRefs runs spec on c and returns the matched refs.
+func searchRefs(ctx context.Context, c *Client, spec QuerySpec) ([]Ref, error) {
+	res, err := c.Search(ctx, spec)
+	if err != nil {
+		return nil, err
+	}
+	return res.Refs(), nil
+}
+
+// TestPaperQuerySpecsCompile: with Search the only public query route,
+// each paper query's spec must compile to exactly the descriptor whose
+// native plans meter the paper's costs.
+func TestPaperQuerySpecsCompile(t *testing.T) {
+	ref := Ref{Object: "/results/out", Version: 2}
+	for _, tc := range []struct {
+		name string
+		spec QuerySpec
+		want prov.Query
+	}{
+		{"Q.1 all provenance", QuerySpec{}, prov.Q1()},
+		{"Q.2 outputs of a tool", outputsSpec("blast"), prov.QOutputsOf("blast")},
+		{"Q.3 descendants of the outputs", descendantsSpec("blast"), prov.QDescendantsOfOutputs("blast")},
+		{"ancestry of a version", ancestorsSpec(ref), prov.QAncestors(toInternalRef(ref))},
+		{"dependents of an object", dependentsSpec("/data/in"), prov.QDependents("/data/in")},
+	} {
+		if got := tc.spec.compile(); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: %+v compiles to %+v, want %+v", tc.name, tc.spec, got, tc.want)
+		}
+	}
+}
 
 // searchClient loads a small repository: five ingested files under /data/
 // plus one process-derived result.
@@ -47,7 +101,8 @@ func archs() map[string]Architecture {
 	}
 }
 
-// TestSearchBasics: the descriptor answers the fixed verbs' questions.
+// TestSearchBasics: descriptors answer the paper's query classes and their
+// variations.
 func TestSearchBasics(t *testing.T) {
 	ctx := context.Background()
 	for name, arch := range archs() {
@@ -55,7 +110,7 @@ func TestSearchBasics(t *testing.T) {
 			c := searchClient(t, arch)
 
 			// Q.2 as a descriptor.
-			res, err := c.Search(ctx, QuerySpec{Tool: "analyze", Type: "file", RefsOnly: true})
+			res, err := c.Search(ctx, outputsSpec("analyze"))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -87,11 +142,7 @@ func TestSearchBasics(t *testing.T) {
 			}
 
 			// Ancestors traversal from the result.
-			res, err = c.Search(ctx, QuerySpec{
-				Refs:      []Ref{{Object: "/results/out", Version: 0}},
-				Direction: TraverseAncestors,
-				RefsOnly:  true,
-			})
+			res, err = c.Search(ctx, ancestorsSpec(Ref{Object: "/results/out", Version: 0}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -106,7 +157,7 @@ func TestSearchBasics(t *testing.T) {
 			// Explain produces a plan for the same spec. The earlier
 			// Search memoized this exact query, so the plan must report
 			// the free repeat.
-			plan, err := c.Explain(QuerySpec{Tool: "analyze", Type: "file", RefsOnly: true})
+			plan, err := c.Explain(outputsSpec("analyze"))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -35,8 +35,8 @@ func driveShardWorkload(t *testing.T, ctx context.Context, c *Client) {
 	c.Settle()
 }
 
-// searchRefs canonicalizes one Search's result refs.
-func searchRefs(t *testing.T, ctx context.Context, c *Client, spec QuerySpec) []string {
+// sortedSearchRefs canonicalizes one Search's result refs.
+func sortedSearchRefs(t *testing.T, ctx context.Context, c *Client, spec QuerySpec) []string {
 	t.Helper()
 	res, err := c.Search(ctx, spec)
 	if err != nil {
@@ -76,8 +76,8 @@ func TestShardedClientMatchesUnsharded(t *testing.T) {
 				{Refs: []Ref{{Object: "/out/summary", Version: 1}}, Direction: TraverseAncestors, RefsOnly: true},
 			}
 			for i, spec := range specs {
-				want := searchRefs(t, ctx, flat, spec)
-				got := searchRefs(t, ctx, shardedC, spec)
+				want := sortedSearchRefs(t, ctx, flat, spec)
+				got := sortedSearchRefs(t, ctx, shardedC, spec)
 				if fmt.Sprint(want) != fmt.Sprint(got) {
 					t.Errorf("spec %d: unsharded %v, sharded %v", i, want, got)
 				}
