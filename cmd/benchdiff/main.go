@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 )
@@ -147,11 +148,20 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	if !compare(os.Stdout, oldRep, newRep, *tol) {
+		os.Exit(1)
+	}
+}
 
+// compare gates newRep against oldRep with fractional tolerance tol,
+// writing one line per gated metric and a closing verdict to w. It
+// reports false when any metric regressed; reports that are not
+// comparable (scale, seed or tool differ) pass with a notice.
+func compare(w io.Writer, oldRep, newRep *report, tol float64) bool {
 	if oldRep.Scale != newRep.Scale || oldRep.Seed != newRep.Seed || oldRep.Tool != newRep.Tool {
-		fmt.Printf("benchdiff: baselines not comparable (scale/seed/tool %v/%d/%s vs %v/%d/%s); skipping\n",
+		fmt.Fprintf(w, "benchdiff: baselines not comparable (scale/seed/tool %v/%d/%s vs %v/%d/%s); skipping\n",
 			oldRep.Scale, oldRep.Seed, oldRep.Tool, newRep.Scale, newRep.Seed, newRep.Tool)
-		return
+		return true
 	}
 
 	failed := false
@@ -159,18 +169,18 @@ func main() {
 		if oldV <= 0 {
 			// A metric appearing from zero is still a cost regression.
 			if newV > 0 {
-				fmt.Printf("%-40s old=%-8d new=%-8d  REGRESSION (new cost)\n", metric, oldV, newV)
+				fmt.Fprintf(w, "%-40s old=%-8d new=%-8d  REGRESSION (new cost)\n", metric, oldV, newV)
 				failed = true
 			}
 			return
 		}
 		delta := float64(newV-oldV) / float64(oldV)
 		status := "ok"
-		if delta > *tol {
+		if delta > tol {
 			status = "REGRESSION"
 			failed = true
 		}
-		fmt.Printf("%-40s old=%-8d new=%-8d delta=%+.2f%%  %s\n", metric, oldV, newV, 100*delta, status)
+		fmt.Fprintf(w, "%-40s old=%-8d new=%-8d delta=%+.2f%%  %s\n", metric, oldV, newV, 100*delta, status)
 	}
 
 	// Write path: Table 2 provenance ops per architecture (same scale and
@@ -184,7 +194,7 @@ func main() {
 		for _, row := range oldRep.Table2.Rows {
 			ops, ok := newOps[row.Arch]
 			if !ok {
-				fmt.Printf("%-40s missing in new report  REGRESSION\n", "table2/provops/"+row.Arch)
+				fmt.Fprintf(w, "%-40s missing in new report  REGRESSION\n", "table2/provops/"+row.Arch)
 				failed = true
 				continue
 			}
@@ -192,7 +202,7 @@ func main() {
 		}
 		if ev, nev := oldRep.events(), newRep.events(); ev > 0 && nev > 0 {
 			for _, row := range newRep.Table2.Rows {
-				fmt.Printf("%-40s %.3f cloudops/event\n", "table2/opsperevent/"+row.Arch,
+				fmt.Fprintf(w, "%-40s %.3f cloudops/event\n", "table2/opsperevent/"+row.Arch,
 					float64(row.ProvOps)/float64(nev))
 			}
 		}
@@ -216,13 +226,13 @@ func main() {
 		for _, row := range oldRep.Table3.Rows {
 			n, ok := newRows[key{row.Query, row.Arch}]
 			if !ok {
-				fmt.Printf("%-40s missing in new report  REGRESSION\n", "table3/"+row.Query+"/"+row.Arch)
+				fmt.Fprintf(w, "%-40s missing in new report  REGRESSION\n", "table3/"+row.Query+"/"+row.Arch)
 				failed = true
 				continue
 			}
 			check("table3/ops/"+row.Query+"/"+row.Arch, row.Ops, n.ops)
 			if n.results != row.Results {
-				fmt.Printf("%-40s results %d -> %d  REGRESSION (answers changed)\n",
+				fmt.Fprintf(w, "%-40s results %d -> %d  REGRESSION (answers changed)\n",
 					"table3/results/"+row.Query+"/"+row.Arch, row.Results, n.results)
 				failed = true
 			}
@@ -237,7 +247,7 @@ func main() {
 	if len(oldRep.Retry) > 0 && len(newRep.Retry) == 0 {
 		// The counters existed and vanished wholesale — the gate would
 		// silently disable itself exactly when the wiring broke.
-		fmt.Printf("%-40s missing in new report  REGRESSION\n", "retry/(all)")
+		fmt.Fprintf(w, "%-40s missing in new report  REGRESSION\n", "retry/(all)")
 		failed = true
 	}
 	if len(oldRep.Retry) > 0 && len(newRep.Retry) > 0 {
@@ -246,7 +256,7 @@ func main() {
 			if !ok {
 				// Counters vanishing for an arch disables the gate, which
 				// is itself a regression — mirror the op-table checks.
-				fmt.Printf("%-40s missing in new report  REGRESSION\n", "retry/"+arch)
+				fmt.Fprintf(w, "%-40s missing in new report  REGRESSION\n", "retry/"+arch)
 				failed = true
 				continue
 			}
@@ -262,13 +272,13 @@ func main() {
 	// config means the same offered workload. The WAL architecture's op
 	// totals can drift a few ops with queue interleaving; -tol absorbs it.
 	if oldRep.Load != nil && newRep.Load == nil {
-		fmt.Printf("%-40s missing in new report  REGRESSION\n", "load/(all)")
+		fmt.Fprintf(w, "%-40s missing in new report  REGRESSION\n", "load/(all)")
 		failed = true
 	}
 	if oldRep.Load != nil && newRep.Load != nil {
 		o, n := oldRep.Load, newRep.Load
 		if o.Tenants != n.Tenants || o.Writers != n.Writers || o.Batches != n.Batches || o.Seed != n.Seed {
-			fmt.Printf("benchdiff: load configs not comparable (%d/%d/%d/%d vs %d/%d/%d/%d); skipping load gate\n",
+			fmt.Fprintf(w, "benchdiff: load configs not comparable (%d/%d/%d/%d vs %d/%d/%d/%d); skipping load gate\n",
 				o.Tenants, o.Writers, o.Batches, o.Seed, n.Tenants, n.Writers, n.Batches, n.Seed)
 		} else {
 			type key struct {
@@ -289,23 +299,23 @@ func main() {
 				name := fmt.Sprintf("load/%s/x%d", r.Arch, r.Shards)
 				nr, ok := newRuns[key{r.Arch, r.Shards}]
 				if !ok {
-					fmt.Printf("%-40s missing in new report  REGRESSION\n", name)
+					fmt.Fprintf(w, "%-40s missing in new report  REGRESSION\n", name)
 					failed = true
 					continue
 				}
 				if nr.events != r.Events {
-					fmt.Printf("%-40s events %d -> %d  REGRESSION (offered workload changed)\n", name, r.Events, nr.events)
+					fmt.Fprintf(w, "%-40s events %d -> %d  REGRESSION (offered workload changed)\n", name, r.Events, nr.events)
 					failed = true
 				}
 				check(name+"/writeops", r.WriteOps, nr.ops)
 				if r.Throughput > 0 {
 					drop := (r.Throughput - nr.eps) / r.Throughput
 					status := "ok"
-					if drop > *tol {
+					if drop > tol {
 						status = "REGRESSION"
 						failed = true
 					}
-					fmt.Printf("%-40s old=%-8.0f new=%-8.0f delta=%+.2f%%  %s\n",
+					fmt.Fprintf(w, "%-40s old=%-8.0f new=%-8.0f delta=%+.2f%%  %s\n",
 						name+"/eps", r.Throughput, nr.eps, -100*drop, status)
 				}
 			}
@@ -317,14 +327,14 @@ func main() {
 	// the migration's own cost (ops and dollars) must not regress. Same
 	// vanished-section rule as every other gate.
 	if oldRep.Rebalance != nil && newRep.Rebalance == nil {
-		fmt.Printf("%-40s missing in new report  REGRESSION\n", "rebalance/(all)")
+		fmt.Fprintf(w, "%-40s missing in new report  REGRESSION\n", "rebalance/(all)")
 		failed = true
 	}
 	if oldRep.Rebalance != nil && newRep.Rebalance != nil {
 		o, n := oldRep.Rebalance, newRep.Rebalance
 		if o.Writers != n.Writers || o.Batches != n.Batches || o.Seed != n.Seed ||
 			o.Shards != n.Shards || o.HotFraction != n.HotFraction {
-			fmt.Println("benchdiff: rebalance configs not comparable; skipping rebalance gate")
+			fmt.Fprintln(w, "benchdiff: rebalance configs not comparable; skipping rebalance gate")
 		} else {
 			type rrun struct {
 				action string
@@ -340,34 +350,34 @@ func main() {
 				name := "rebalance/" + r.Arch
 				nr, ok := newRuns[r.Arch]
 				if !ok {
-					fmt.Printf("%-40s missing in new report  REGRESSION\n", name)
+					fmt.Fprintf(w, "%-40s missing in new report  REGRESSION\n", name)
 					failed = true
 					continue
 				}
 				if r.Action == "split" && nr.action != "split" {
-					fmt.Printf("%-40s action %q -> %q  REGRESSION (hot shard no longer detected)\n",
+					fmt.Fprintf(w, "%-40s action %q -> %q  REGRESSION (hot shard no longer detected)\n",
 						name, r.Action, nr.action)
 					failed = true
 				}
 				if r.PostHotShare > 0 {
 					delta := (nr.post - r.PostHotShare) / r.PostHotShare
 					status := "ok"
-					if delta > *tol {
+					if delta > tol {
 						status = "REGRESSION"
 						failed = true
 					}
-					fmt.Printf("%-40s old=%-8.3f new=%-8.3f delta=%+.2f%%  %s\n",
+					fmt.Fprintf(w, "%-40s old=%-8.3f new=%-8.3f delta=%+.2f%%  %s\n",
 						name+"/posthotshare", r.PostHotShare, nr.post, 100*delta, status)
 				}
 				check(name+"/migops", r.MigOps, nr.migOps)
 				if r.MigUSD > 0 {
 					delta := (nr.migUSD - r.MigUSD) / r.MigUSD
 					status := "ok"
-					if delta > *tol {
+					if delta > tol {
 						status = "REGRESSION"
 						failed = true
 					}
-					fmt.Printf("%-40s old=$%-9.6f new=$%-9.6f delta=%+.2f%%  %s\n",
+					fmt.Fprintf(w, "%-40s old=$%-9.6f new=$%-9.6f delta=%+.2f%%  %s\n",
 						name+"/migusd", r.MigUSD, nr.migUSD, 100*delta, status)
 				}
 			}
@@ -380,7 +390,7 @@ func main() {
 	// itself — a regression, not a skip. (The section newly appearing is
 	// the seeding case and passes: every old row is still covered.)
 	if oldRep.Sharded != nil && newRep.Sharded == nil {
-		fmt.Printf("%-40s missing in new report  REGRESSION\n", "sharded/(all)")
+		fmt.Fprintf(w, "%-40s missing in new report  REGRESSION\n", "sharded/(all)")
 		failed = true
 	}
 	if oldRep.Sharded != nil && newRep.Sharded != nil {
@@ -413,30 +423,30 @@ func main() {
 			name := fmt.Sprintf("sharded/%s/x%d", r.Arch, r.Shards)
 			n, ok := newRows[rkey{r.Arch, r.Shards}]
 			if !ok {
-				fmt.Printf("%-40s missing in new report  REGRESSION\n", name)
+				fmt.Fprintf(w, "%-40s missing in new report  REGRESSION\n", name)
 				failed = true
 				continue
 			}
 			check(name+"/provops", r.ProvOps, n.provOps)
 			check(name+"/verifyops", r.VerifyOps, n.verifyOps)
 			if !n.clean {
-				fmt.Printf("%-40s namespace no longer verifies clean  REGRESSION\n", name)
+				fmt.Fprintf(w, "%-40s namespace no longer verifies clean  REGRESSION\n", name)
 				failed = true
 			}
 			if r.VerifyUSD > 0 {
 				delta := (n.verifyUSD - r.VerifyUSD) / r.VerifyUSD
 				status := "ok"
-				if delta > *tol {
+				if delta > tol {
 					status = "REGRESSION"
 					failed = true
 				}
-				fmt.Printf("%-40s old=$%-7.4f new=$%-7.4f delta=%+.2f%%  %s\n",
+				fmt.Fprintf(w, "%-40s old=$%-7.4f new=$%-7.4f delta=%+.2f%%  %s\n",
 					name+"/verifyusd", r.VerifyUSD, n.verifyUSD, 100*delta, status)
 			}
 			for _, q := range r.Queries {
 				nq, ok := n.queries[q.Query]
 				if !ok {
-					fmt.Printf("%-40s missing in new report  REGRESSION\n", name+"/"+q.Query)
+					fmt.Fprintf(w, "%-40s missing in new report  REGRESSION\n", name+"/"+q.Query)
 					failed = true
 					continue
 				}
@@ -447,15 +457,15 @@ func main() {
 				if q.USD > 0 {
 					delta := (nq.usd - q.USD) / q.USD
 					status := "ok"
-					if delta > *tol {
+					if delta > tol {
 						status = "REGRESSION"
 						failed = true
 					}
-					fmt.Printf("%-40s old=$%-9.6f new=$%-9.6f delta=%+.2f%%  %s\n",
+					fmt.Fprintf(w, "%-40s old=$%-9.6f new=$%-9.6f delta=%+.2f%%  %s\n",
 						name+"/"+q.Query+"/usd", q.USD, nq.usd, 100*delta, status)
 				}
 				if nq.results != q.Results {
-					fmt.Printf("%-40s results %d -> %d  REGRESSION (answers changed)\n",
+					fmt.Fprintf(w, "%-40s results %d -> %d  REGRESSION (answers changed)\n",
 						name+"/"+q.Query, q.Results, nq.results)
 					failed = true
 				}
@@ -469,7 +479,7 @@ func main() {
 	// capture), and a change in coverage means the audit silently shrank
 	// or grew.
 	if oldRep.Replay != nil && newRep.Replay == nil {
-		fmt.Printf("%-40s missing in new report  REGRESSION\n", "replay/(all)")
+		fmt.Fprintf(w, "%-40s missing in new report  REGRESSION\n", "replay/(all)")
 		failed = true
 	}
 	if oldRep.Replay != nil && newRep.Replay != nil {
@@ -492,37 +502,38 @@ func main() {
 			name := fmt.Sprintf("replay/%s/x%d", r.Arch, r.Shards)
 			n, ok := newRows[rkey{r.Arch, r.Shards}]
 			if !ok {
-				fmt.Printf("%-40s missing in new report  REGRESSION\n", name)
+				fmt.Fprintf(w, "%-40s missing in new report  REGRESSION\n", name)
 				failed = true
 				continue
 			}
 			check(name+"/extractops", r.ExtractOps, n.extractOps)
 			check(name+"/replayops", r.ReplayOps, n.replayOps)
 			if n.divergences > 0 {
-				fmt.Printf("%-40s %d divergences replaying a faithful capture  REGRESSION\n", name, n.divergences)
+				fmt.Fprintf(w, "%-40s %d divergences replaying a faithful capture  REGRESSION\n", name, n.divergences)
 				failed = true
 			}
 			if n.compared != r.Compared {
-				fmt.Printf("%-40s compared %d -> %d  REGRESSION (audit coverage changed)\n",
+				fmt.Fprintf(w, "%-40s compared %d -> %d  REGRESSION (audit coverage changed)\n",
 					name, r.Compared, n.compared)
 				failed = true
 			}
 			if r.ReplayUSD > 0 {
 				delta := (n.replayUSD - r.ReplayUSD) / r.ReplayUSD
 				status := "ok"
-				if delta > *tol {
+				if delta > tol {
 					status = "REGRESSION"
 					failed = true
 				}
-				fmt.Printf("%-40s old=$%-7.4f new=$%-7.4f delta=%+.2f%%  %s\n",
+				fmt.Fprintf(w, "%-40s old=$%-7.4f new=$%-7.4f delta=%+.2f%%  %s\n",
 					name+"/replayusd", r.ReplayUSD, n.replayUSD, 100*delta, status)
 			}
 		}
 	}
 
 	if failed {
-		fmt.Println("benchdiff: FAIL")
-		os.Exit(1)
+		fmt.Fprintln(w, "benchdiff: FAIL")
+		return false
 	}
-	fmt.Println("benchdiff: OK")
+	fmt.Fprintln(w, "benchdiff: OK")
+	return true
 }

@@ -17,14 +17,15 @@ import (
 // but cannot notice a key it has never seen. A key assembled at run
 // time ("prefix-"+shardName) can therefore drift out of every reader
 // silently. The check requires the key operand of billing.Meter.Op,
-// billing.Meter.OpErr and retry.Retrier.Do to be a constant expression.
+// billing.Meter.OpErr and retry.Retrier.Do — and the op operands of
+// core's paged listings and DeletePrefix, which forward them to
+// Retrier.Do from every store package — to be a constant expression.
 // The one extra shape allowed is a function parameter (optionally
 // concatenated with constants): the function then becomes a key
 // forwarder and the same rule is applied to that argument at each of
 // its call sites in the package, so the key is still a literal at its
 // origin. Forwarding across package boundaries is outside the
-// analysis's reach and is flagged at the forwarding site unless the
-// callee is one of the three methods above.
+// analysis's reach unless the callee is one of the seeds above.
 var Meterkey = &Analyzer{
 	Name: "meterkey",
 	Doc:  "billing meter keys and retry op names must be literals or constants (or parameters fed only by them)",
@@ -32,11 +33,17 @@ var Meterkey = &Analyzer{
 }
 
 // meterSeeds maps the metering entry points' full names to the operand
-// index of their key argument.
-var meterSeeds = map[string]int{
-	"(*" + modulePath + "/internal/cloud/billing.Meter).Op":    1,
-	"(*" + modulePath + "/internal/cloud/billing.Meter).OpErr": 1,
-	"(*" + modulePath + "/internal/cloud/retry.Retrier).Do":    1,
+// indexes of their key arguments.
+var meterSeeds = map[string][]int{
+	"(*" + modulePath + "/internal/cloud/billing.Meter).Op":    {1},
+	"(*" + modulePath + "/internal/cloud/billing.Meter).OpErr": {1},
+	"(*" + modulePath + "/internal/cloud/retry.Retrier).Do":    {1},
+	modulePath + "/internal/core.Pages":                        {2},
+	modulePath + "/internal/core.ListPages":                    {2},
+	modulePath + "/internal/core.SelectPages":                  {2},
+	modulePath + "/internal/core.QueryPages":                   {2},
+	modulePath + "/internal/core.QueryAttrPages":               {2},
+	modulePath + "/internal/core.DeletePrefix":                 {2, 3},
 }
 
 // paramSite locates one declared-function parameter.
@@ -126,8 +133,10 @@ func walkKeyArgs(pass *Pass, keyed map[*types.Func]map[int]bool, fn func(arg ast
 			if callee == nil {
 				return true
 			}
-			if idx, ok := meterSeeds[callee.FullName()]; ok && idx < len(call.Args) {
-				fn(call.Args[idx])
+			for _, idx := range meterSeeds[callee.FullName()] {
+				if idx < len(call.Args) {
+					fn(call.Args[idx])
+				}
 			}
 			for idx := range keyed[callee] {
 				if idx < len(call.Args) {

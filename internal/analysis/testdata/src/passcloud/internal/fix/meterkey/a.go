@@ -11,6 +11,9 @@ import (
 
 	"passcloud/internal/cloud/billing"
 	"passcloud/internal/cloud/retry"
+	"passcloud/internal/cloud/s3"
+	"passcloud/internal/cloud/sdb"
+	"passcloud/internal/core"
 )
 
 // opPrefix is a package constant; constant concatenation stays static.
@@ -50,4 +53,22 @@ func callers(m *billing.Meter, items []string) {
 	for _, item := range items {
 		forward(m, "item-"+item) // want `meter key is built dynamically`
 	}
+}
+
+// pages forwards its op across the package boundary into core's pager,
+// which retries every page under it: the pager is a seed, so pages
+// becomes a forwarder and its call sites are held to the rule.
+func pages(ctx context.Context, r *retry.Retrier, svc *sdb.Service, op string) {
+	for range core.SelectPages(ctx, r, op, svc, "select itemName() from d") {
+	}
+}
+
+// pagers shows the rule at core's pager and prefix-delete call sites.
+func pagers(ctx context.Context, r *retry.Retrier, svc *sdb.Service, s3svc *s3.Service, shards []string) {
+	shard := shards[0]
+	pages(ctx, r, svc, "fix/select")
+	pages(ctx, r, svc, "select-"+shard)                                 // want `meter key is built dynamically`
+	for range core.ListPages(ctx, r, "list-"+shard, s3svc, "b", "p/") { // want `meter key is built dynamically`
+	}
+	_ = core.DeletePrefix(ctx, r, "fix/list", "delete-"+shard, s3svc, "b", "p/") // want `meter key is built dynamically`
 }

@@ -7,12 +7,18 @@
 // primitives below, each implemented natively so the copy preserves the
 // architecture's own encoding, consistency records and integrity
 // commitments instead of replaying writes through the public path (which
-// could not reconstruct historical versions or per-version nonces).
+// could not reconstruct historical versions or per-version nonces). The
+// pieces both designs share — export accounting, the ledger slots a
+// removal drops, and prefix deletion — live here; each store keeps only
+// its protocol.
 package core
 
 import (
 	"context"
 
+	"passcloud/internal/cloud/retry"
+	"passcloud/internal/cloud/s3"
+	"passcloud/internal/core/integrity"
 	"passcloud/internal/prov"
 )
 
@@ -32,6 +38,34 @@ type ArcExport struct {
 	Bytes int64
 	// Payload holds the architecture-specific captured state.
 	Payload any
+
+	listed map[prov.Ref]bool
+}
+
+// Add accounts one captured storage object: it counts the object, adds its
+// body and every string record value to Bytes, and lists each subject its
+// records carry, then carrier itself (part of the arc even when all its
+// records rode elsewhere), unless already listed.
+func (e *ArcExport) Add(carrier prov.Ref, body []byte, records []prov.Record) {
+	e.Objects++
+	e.Bytes += int64(len(body))
+	for _, rec := range records {
+		if rec.Value.Kind == prov.KindString {
+			e.Bytes += int64(len(rec.Value.Str))
+		}
+		e.list(rec.Subject)
+	}
+	e.list(carrier)
+}
+
+func (e *ArcExport) list(subject prov.Ref) {
+	if e.listed == nil {
+		e.listed = make(map[prov.Ref]bool)
+	}
+	if !e.listed[subject] {
+		e.listed[subject] = true
+		e.Subjects = append(e.Subjects, subject)
+	}
 }
 
 // Migrator is the per-store migration surface. All three methods are
@@ -56,4 +90,39 @@ type Migrator interface {
 	// the removal set without in-memory state. Returns the number of
 	// storage objects removed.
 	RemoveArc(ctx context.Context, match func(prov.ObjectID) bool) (int, error)
+}
+
+// ArcSlots lists the ledger slots an arc removal drops: every slot of l
+// whose object, as the architecture decodes it from the slot name, matches
+// the arc. The set covers the objects a removal's listing surfaces and
+// phantom slots whose object is already gone (tampered away) alike; a
+// slot left behind would make the next audit flag a root mismatch against
+// records that no longer exist. nil when integrity is off.
+func ArcSlots(l *integrity.Ledger, object func(slot string) (prov.ObjectID, bool), match func(prov.ObjectID) bool) []string {
+	if l == nil {
+		return nil
+	}
+	var out []string
+	for _, slot := range l.Slots() {
+		if o, ok := object(slot); ok && match(o) {
+			out = append(out, slot)
+		}
+	}
+	return out
+}
+
+// DeletePrefix removes every S3 object under prefix, paging the listing
+// under listOp and retrying each deletion under deleteOp.
+func DeletePrefix(ctx context.Context, r *retry.Retrier, listOp, deleteOp string, svc *s3.Service, bucket, prefix string) error {
+	for objects, err := range ListPages(ctx, r, listOp, svc, bucket, prefix) {
+		if err != nil {
+			return err
+		}
+		for _, info := range objects {
+			if err := r.Do(ctx, deleteOp, func() error { return svc.Delete(bucket, info.Key) }); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }

@@ -41,50 +41,41 @@ type arcPayload struct {
 	carriers []arcCarrier
 }
 
-// listData pages the data prefix and calls fn for every object whose ID
-// matches the predicate, skipping the reshard marker (writer-local
-// bookkeeping that never migrates).
-func (s *Store) listData(ctx context.Context, match func(prov.ObjectID) bool, fn func(key string, object prov.ObjectID) error) error {
-	marker := ""
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		var page *s3.ListPage
-		err := s.Retrier.Do(ctx, "s3only/reshard-list", func() error {
-			var lerr error
-			page, lerr = s.cloud.S3.List(s.bucket, dataPrefix, marker, 0)
-			return lerr
-		})
+// slotObject decodes a carrier key (a data-prefixed LIST key or ledger
+// slot) to its object. The reshard marker is writer-local bookkeeping that
+// never migrates.
+func slotObject(key string) (prov.ObjectID, bool) {
+	object, ok := strings.CutPrefix(key, dataPrefix)
+	return prov.ObjectID(object), ok && prov.ObjectID(object) != reshardMarker
+}
+
+// listArc pages the data prefix and calls fn for every carrier whose
+// object matches the predicate.
+func (s *Store) listArc(ctx context.Context, match func(prov.ObjectID) bool, fn func(prov.ObjectID) error) error {
+	for objects, err := range core.ListPages(ctx, s.Retrier, "s3only/reshard-list", s.cloud.S3, s.bucket, dataPrefix) {
 		if err != nil {
 			return err
 		}
-		for _, info := range page.Objects {
-			object := prov.ObjectID(strings.TrimPrefix(info.Key, dataPrefix))
-			if object == reshardMarker || !match(object) {
-				continue
-			}
-			if err := fn(info.Key, object); err != nil {
-				return err
+		for _, info := range objects {
+			if object, ok := slotObject(info.Key); ok && match(object) {
+				if err := fn(object); err != nil {
+					return err
+				}
 			}
 		}
-		if !page.IsTruncated {
-			return nil
-		}
-		marker = page.NextMarker
 	}
+	return nil
 }
 
 // ExportArc implements core.Migrator.
 func (s *Store) ExportArc(ctx context.Context, match func(prov.ObjectID) bool) (*core.ArcExport, error) {
 	exp := &core.ArcExport{}
 	payload := &arcPayload{}
-	seen := make(map[prov.Ref]bool)
-	err := s.listData(ctx, match, func(key string, object prov.ObjectID) error {
+	err := s.listArc(ctx, match, func(object prov.ObjectID) error {
 		var obj *s3.Object
 		err := s.Retrier.Do(ctx, "s3only/reshard-get", func() error {
 			var gerr error
-			obj, gerr = s.cloud.S3.Get(s.bucket, key)
+			obj, gerr = s.cloud.S3.Get(s.bucket, dataKey(object))
 			return gerr
 		})
 		if err != nil {
@@ -101,23 +92,9 @@ func (s *Store) ExportArc(ctx context.Context, match func(prov.ObjectID) bool) (
 			} else {
 				c.foreign = append(c.foreign, rec)
 			}
-			if rec.Value.Kind == prov.KindString {
-				exp.Bytes += int64(len(rec.Value.Str))
-			}
-			if !seen[rec.Subject] {
-				seen[rec.Subject] = true
-				exp.Subjects = append(exp.Subjects, rec.Subject)
-			}
-		}
-		// The carrier subject itself is part of the arc even when all its
-		// records rode elsewhere (a marker carrying only riders).
-		if !seen[ref] {
-			seen[ref] = true
-			exp.Subjects = append(exp.Subjects, ref)
 		}
 		payload.carriers = append(payload.carriers, c)
-		exp.Objects++
-		exp.Bytes += int64(len(obj.Body))
+		exp.Add(ref, obj.Body, records)
 		return nil
 	})
 	if err != nil {
@@ -162,133 +139,78 @@ func (s *Store) ImportArc(ctx context.Context, exp *core.ArcExport) error {
 func (s *Store) RemoveArc(ctx context.Context, match func(prov.ObjectID) bool) (int, error) {
 	removed := 0
 	err := s.TrackWrites(func() error {
-		type victim struct {
-			key string
-			ref prov.Ref
-		}
-		var victims []victim
-		if err := s.listData(ctx, match, func(key string, object prov.ObjectID) error {
-			var info *s3.Info
-			err := s.Retrier.Do(ctx, "s3only/reshard-head", func() error {
-				var herr error
-				info, herr = s.cloud.S3.Head(s.bucket, key)
-				return herr
-			})
+		var victims []prov.Ref
+		if err := s.listArc(ctx, match, func(object prov.ObjectID) error {
+			head, ok, err := s.headObject(ctx, "s3only/reshard-head", dataKey(object))
 			if err != nil {
+				return fmt.Errorf("s3only: reshard head: %w", err)
+			}
+			if !ok {
 				return nil // deleted between LIST and HEAD
 			}
-			ref, _, err := s.decodeAll(object, info.Metadata)
+			ref, _, err := s.decodeAll(object, head.Metadata)
 			if err != nil {
 				return err
 			}
-			victims = append(victims, victim{key: key, ref: ref})
+			victims = append(victims, ref)
 			return nil
 		}); err != nil {
 			return err
 		}
-		// Phantom slots: a ledger entry whose carrier is already gone (a
-		// tampered-away object the LIST can no longer surface). The leaves
-		// must still leave the commitment or the next audit flags a root
-		// mismatch against records that no longer exist.
-		var phantoms []string
-		if s.Ledger != nil {
-			live := make(map[string]bool, len(victims))
-			for _, v := range victims {
-				live[v.key] = true
-			}
-			for _, slot := range s.Ledger.Slots() {
-				if !strings.HasPrefix(slot, dataPrefix) || live[slot] {
-					continue
-				}
-				object := prov.ObjectID(strings.TrimPrefix(slot, dataPrefix))
-				if object == reshardMarker || !match(object) {
-					continue
-				}
-				phantoms = append(phantoms, slot)
-			}
-		}
-		if len(victims) == 0 && len(phantoms) == 0 {
+		slots := core.ArcSlots(s.Ledger, slotObject, match)
+		if len(victims) == 0 && len(slots) == 0 {
 			return nil
 		}
 		defer s.InvalidateQueries()
-		for _, v := range victims {
+		for _, ref := range victims {
 			// The carrier's overflow and bundle objects live under its
 			// subject's prov/ prefix (foreign riders' spills included —
 			// they encode under the carrier subject).
-			if err := s.deletePrefix(ctx, fmt.Sprintf("%s/%s/", provPrefix, prov.EncodeItemName(v.ref))); err != nil {
+			prefix := fmt.Sprintf("%s/%s/", provPrefix, prov.EncodeItemName(ref))
+			if err := core.DeletePrefix(ctx, s.Retrier, "s3only/reshard-list", "s3only/reshard-prefix-delete", s.cloud.S3, s.bucket, prefix); err != nil {
 				return err
 			}
+			key := dataKey(ref.Object)
 			err := s.Retrier.Do(ctx, "s3only/reshard-delete", func() error {
-				return s.cloud.S3.Delete(s.bucket, v.key)
+				return s.cloud.S3.Delete(s.bucket, key)
 			})
 			if err != nil {
 				return fmt.Errorf("s3only: reshard delete: %w", err)
 			}
-			if s.Ledger != nil {
-				s.Ledger.Remove(v.key)
-			}
-			s.catalog.Forget(v.key)
-			s.mu.Lock()
-			delete(s.latest, v.key)
-			s.mu.Unlock()
+			s.forget(key)
 			removed++
 		}
-		for _, slot := range phantoms {
+		if s.Ledger == nil {
+			return nil
+		}
+		for _, slot := range slots {
 			s.Ledger.Remove(slot)
-			s.catalog.Forget(slot)
-			s.mu.Lock()
-			delete(s.latest, slot)
-			s.mu.Unlock()
+			s.forget(slot)
 		}
-		if s.Ledger != nil {
-			// Persist the post-removal commitment: without it, the highest
-			// surviving rider still commits to the departed leaves and the
-			// next audit would flag a root mismatch.
-			meta := map[string]string{
-				metaVersion:        "0",
-				integrity.AttrRoot: s.Ledger.Commit(nil).Token(),
-			}
-			key := dataKey(reshardMarker)
-			if err := s.putCarrier(ctx, "s3only/reshard-ledger-put", key, []byte{'.'}, meta); err != nil {
-				return fmt.Errorf("s3only: reshard ledger put: %w", err)
-			}
-			s.catalog.Observe(key, 0)
+		// Persist the post-removal commitment: without it, the highest
+		// surviving rider still commits to the departed leaves and the
+		// next audit would flag a root mismatch.
+		meta := map[string]string{
+			metaVersion:        "0",
+			integrity.AttrRoot: s.Ledger.Commit(nil).Token(),
 		}
+		key := dataKey(reshardMarker)
+		if err := s.putCarrier(ctx, "s3only/reshard-ledger-put", key, []byte{'.'}, meta); err != nil {
+			return fmt.Errorf("s3only: reshard ledger put: %w", err)
+		}
+		s.catalog.Observe(key, 0)
 		return nil
 	})
 	return removed, err
 }
 
-// deletePrefix removes every S3 object under prefix.
-func (s *Store) deletePrefix(ctx context.Context, prefix string) error {
-	marker := ""
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		var page *s3.ListPage
-		err := s.Retrier.Do(ctx, "s3only/reshard-list", func() error {
-			var lerr error
-			page, lerr = s.cloud.S3.List(s.bucket, prefix, marker, 0)
-			return lerr
-		})
-		if err != nil {
-			return err
-		}
-		for _, info := range page.Objects {
-			key := info.Key
-			err := s.Retrier.Do(ctx, "s3only/reshard-prefix-delete", func() error {
-				return s.cloud.S3.Delete(s.bucket, key)
-			})
-			if err != nil {
-				return err
-			}
-		}
-		if !page.IsTruncated {
-			return nil
-		}
-		marker = page.NextMarker
-	}
+// forget drops a removed carrier from the planner catalog and the
+// version map.
+func (s *Store) forget(key string) {
+	s.catalog.Forget(key)
+	s.mu.Lock()
+	delete(s.latest, key)
+	s.mu.Unlock()
 }
 
 var _ core.Migrator = (*Store)(nil)

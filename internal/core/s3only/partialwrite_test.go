@@ -309,3 +309,28 @@ func TestHeadFaultNeverDropsProvenance(t *testing.T) {
 		t.Fatalf("permanent HEAD fault returned %d entries and no error", len(entries))
 	}
 }
+
+// TestRemoveArcHeadFaultFails: during arc removal only a missing key means
+// "deleted between LIST and HEAD". Any other HEAD failure fails the
+// removal, so a carrier is never skipped silently and left behind on the
+// source after the flip.
+func TestRemoveArcHeadFaultFails(t *testing.T) {
+	ctx := context.Background()
+	faults := sim.NewFaultPlan()
+	cl := cloud.New(cloud.Config{Seed: 1, Faults: faults})
+	st, err := New(Config{Cloud: cl, Faults: faults, Retry: tightRetry})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := core.Put(ctx, st, fileEv("/moving", 0, "data")); err != nil {
+		t.Fatal(err)
+	}
+	faults.ArmOp("s3/HEAD", sim.ClassPermanent, 0, 1)
+	n, err := st.RemoveArc(ctx, func(prov.ObjectID) bool { return true })
+	if err == nil {
+		t.Fatalf("permanent HEAD fault: RemoveArc removed %d carriers and returned no error", n)
+	}
+	if _, err := cl.S3.Head(st.bucket, dataKey("/moving")); err != nil {
+		t.Fatalf("carrier gone after a failed removal: %v", err)
+	}
+}

@@ -737,17 +737,6 @@ type scanned struct {
 	records []prov.Record
 }
 
-// listPage reads one LIST page of the data prefix under the retrier.
-func (s *Store) listPage(ctx context.Context, op, marker string) (*s3.ListPage, error) {
-	var page *s3.ListPage
-	err := s.Retrier.Do(ctx, op, func() error {
-		var lerr error
-		page, lerr = s.cloud.S3.List(s.bucket, dataPrefix, marker, 0)
-		return lerr
-	})
-	return page, err
-}
-
 // headObject reads one listed object's metadata under the retrier. ok is
 // false only when the object is gone (deleted between LIST and HEAD);
 // every other failure is an error, so a fault can never silently drop an
@@ -804,18 +793,12 @@ func (s *Store) scanPage(ctx context.Context, infos []s3.Info) ([]scanned, error
 // object, not per page.
 func (s *Store) scanSeq(ctx context.Context) iter.Seq2[core.Entry, error] {
 	return func(yield func(core.Entry, error) bool) {
-		marker := ""
-		for {
-			if err := ctx.Err(); err != nil {
-				yield(core.Entry{}, err)
-				return
-			}
-			page, err := s.listPage(ctx, "s3only/scan-list", marker)
+		for objects, err := range core.ListPages(ctx, s.Retrier, "s3only/scan-list", s.cloud.S3, s.bucket, dataPrefix) {
 			if err != nil {
 				yield(core.Entry{}, err)
 				return
 			}
-			results, err := s.scanPage(ctx, page.Objects)
+			results, err := s.scanPage(ctx, objects)
 			if err != nil {
 				yield(core.Entry{}, err)
 				return
@@ -838,10 +821,6 @@ func (s *Store) scanSeq(ctx context.Context) iter.Seq2[core.Entry, error] {
 					}
 				}
 			}
-			if !page.IsTruncated {
-				return
-			}
-			marker = page.NextMarker
 		}
 	}
 }
@@ -929,16 +908,11 @@ func (s *Store) sync(ctx context.Context) error {
 // legitimately vanish and a missing predecessor is not a divergence.
 func (s *Store) Audit(ctx context.Context) (*integrity.Audit, error) {
 	a := &integrity.Audit{Entries: make(map[prov.Ref][]prov.Record)}
-	marker := ""
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		page, err := s.listPage(ctx, "s3only/audit-list", marker)
+	for objects, err := range core.ListPages(ctx, s.Retrier, "s3only/audit-list", s.cloud.S3, s.bucket, dataPrefix) {
 		if err != nil {
 			return nil, err
 		}
-		for _, info := range page.Objects {
+		for _, info := range objects {
 			head, ok, err := s.headObject(ctx, "s3only/audit-head", info.Key)
 			if err != nil {
 				return nil, fmt.Errorf("s3only: audit head: %w", err)
@@ -956,11 +930,8 @@ func (s *Store) Audit(ctx context.Context) (*integrity.Audit, error) {
 				a.Entries[r.Subject] = append(a.Entries[r.Subject], r)
 			}
 		}
-		if !page.IsTruncated {
-			return a, nil
-		}
-		marker = page.NextMarker
 	}
+	return a, nil
 }
 
 var (

@@ -280,16 +280,11 @@ func (s *Store) orphanScan(ctx context.Context) ([]prov.Ref, error) {
 
 	// Pass 1: collect candidates without deleting anything.
 	var candidates []prov.Ref
-	token := ""
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		res, err := s.cloud.SDB.Select("select "+sdbprov.AttrMD5+" from "+s.Layer().Domain(), token)
+	for items, err := range core.SelectPages(ctx, s.Layer().Retrier, "s3sdb/orphan-select", s.cloud.SDB, "select "+sdbprov.AttrMD5+" from "+s.Layer().Domain()) {
 		if err != nil {
 			return nil, err
 		}
-		for _, item := range res.Items {
+		for _, item := range items {
 			ref, err := prov.ParseItemName(item.Name)
 			if err != nil {
 				continue
@@ -302,10 +297,6 @@ func (s *Store) orphanScan(ctx context.Context) ([]prov.Ref, error) {
 				candidates = append(candidates, ref)
 			}
 		}
-		if res.NextToken == "" {
-			break
-		}
-		token = res.NextToken
 	}
 	if len(candidates) == 0 {
 		return nil, nil

@@ -211,6 +211,43 @@ func TestOrphanScanSparesHealthyItems(t *testing.T) {
 	}
 }
 
+// TestTransientSelectFaultIsRetried: the indexed design pages its
+// repository listings through the retrier, as the S3-only design pages
+// LIST, so one transient Select fault fails neither a Q.1 nor the orphan
+// scan.
+func TestTransientSelectFaultIsRetried(t *testing.T) {
+	ctx := context.Background()
+	faults := sim.NewFaultPlan()
+	cl := cloud.New(cloud.Config{Seed: 1, Faults: faults})
+	st, err := New(Config{Cloud: cl, Faults: faults})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 5
+	for i := 0; i < n; i++ {
+		if err := core.Put(ctx, st, fileEvent(fmt.Sprintf("/f%d", i), 0, "data")); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	faults.ArmOp("sdb/Select", sim.ClassTransient, 0, 1)
+	entries, err := core.CollectEntries(st.Query(ctx, prov.Q1()))
+	if err != nil {
+		t.Fatalf("Q1 under a transient Select fault: %v", err)
+	}
+	if len(entries) != n {
+		t.Fatalf("Q1 returned %d of %d entries", len(entries), n)
+	}
+
+	faults.ArmOp("sdb/Select", sim.ClassTransient, 0, 1)
+	if _, err := st.OrphanScan(ctx); err != nil {
+		t.Fatalf("orphan scan under a transient Select fault: %v", err)
+	}
+	if got := faults.OpFired("sdb/Select"); got != 2 {
+		t.Fatalf("armed Select faults fired %d times, want 2", got)
+	}
+}
+
 func TestOverflowValuesToS3(t *testing.T) {
 	st, cl := newTestStore(t, nil, 0)
 	ctx := context.Background()

@@ -43,57 +43,27 @@ type arcPayload struct {
 	datas []arcData
 }
 
-// scanItemNames pages "select itemName()" over the domain and calls fn
-// for every item that parses as a subject and matches the predicate.
-func (l *Layer) scanItemNames(ctx context.Context, match func(prov.ObjectID) bool, fn func(item string, ref prov.Ref) error) error {
-	token := ""
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		page, err := l.selectItemNames(ctx, token)
+// slotObject decodes a subject item's name (a Select result or ledger
+// slot) to its object. The ledger item never parses.
+func slotObject(item string) (prov.ObjectID, bool) {
+	ref, err := prov.ParseItemName(item)
+	return ref.Object, err == nil
+}
+
+// listArc pages the domain's item names and calls fn for every subject
+// whose object matches the predicate.
+func (l *Layer) listArc(ctx context.Context, match func(prov.ObjectID) bool, fn func(prov.Ref) error) error {
+	for name, err := range l.itemNames(ctx, "sdbprov/reshard-select") {
 		if err != nil {
 			return err
 		}
-		for _, name := range page.names {
-			ref, perr := prov.ParseItemName(name)
-			if perr != nil {
-				continue // the ledger item, never a subject
-			}
-			if !match(ref.Object) {
-				continue
-			}
-			if err := fn(name, ref); err != nil {
+		if ref, perr := prov.ParseItemName(name); perr == nil && match(ref.Object) {
+			if err := fn(ref); err != nil {
 				return err
 			}
 		}
-		if page.next == "" {
-			return nil
-		}
-		token = page.next
 	}
-}
-
-type itemNamePage struct {
-	names []string
-	next  string
-}
-
-func (l *Layer) selectItemNames(ctx context.Context, token string) (itemNamePage, error) {
-	var page itemNamePage
-	err := l.Retrier.Do(ctx, "sdbprov/reshard-select", func() error {
-		res, serr := l.cfg.Cloud.SDB.Select("select itemName() from "+l.cfg.Domain, token)
-		if serr != nil {
-			return serr
-		}
-		page.names = page.names[:0]
-		for _, item := range res.Items {
-			page.names = append(page.names, item.Name)
-		}
-		page.next = res.NextToken
-		return nil
-	})
-	return page, err
+	return nil
 }
 
 // ExportArc implements core.Migrator.
@@ -101,7 +71,7 @@ func (l *Layer) ExportArc(ctx context.Context, match func(prov.ObjectID) bool) (
 	exp := &core.ArcExport{}
 	payload := &arcPayload{}
 	dataObjects := make(map[prov.ObjectID]bool)
-	err := l.scanItemNames(ctx, match, func(item string, ref prov.Ref) error {
+	err := l.listArc(ctx, match, func(ref prov.Ref) error {
 		records, md5hex, ok, err := l.FetchItem(ctx, ref)
 		if err != nil {
 			return err
@@ -110,13 +80,7 @@ func (l *Layer) ExportArc(ctx context.Context, match func(prov.ObjectID) bool) (
 			return nil // deleted between Select and GetAttributes
 		}
 		payload.items = append(payload.items, arcItem{subject: ref, records: records, md5: md5hex})
-		exp.Subjects = append(exp.Subjects, ref)
-		exp.Objects++
-		for _, rec := range records {
-			if rec.Value.Kind == prov.KindString {
-				exp.Bytes += int64(len(rec.Value.Str))
-			}
-		}
+		exp.Add(ref, nil, records)
 		if md5hex != "" {
 			dataObjects[ref.Object] = true
 		}
@@ -146,8 +110,7 @@ func (l *Layer) ExportArc(ctx context.Context, match func(prov.ObjectID) bool) (
 			return nil, err
 		}
 		payload.datas = append(payload.datas, arcData{key: key, body: obj.Body, meta: obj.Metadata})
-		exp.Objects++
-		exp.Bytes += int64(len(obj.Body))
+		exp.Add(it.subject, obj.Body, nil)
 	}
 	exp.Payload = payload
 	return exp, nil
@@ -190,46 +153,24 @@ func (l *Layer) ImportArc(ctx context.Context, exp *core.ArcExport) error {
 func (l *Layer) RemoveArc(ctx context.Context, match func(prov.ObjectID) bool) (int, error) {
 	removed := 0
 	err := l.TrackWrites(func() error {
-		var items []string
 		var refs []prov.Ref
-		if err := l.scanItemNames(ctx, match, func(item string, ref prov.Ref) error {
-			items = append(items, item)
+		if err := l.listArc(ctx, match, func(ref prov.Ref) error {
 			refs = append(refs, ref)
 			return nil
 		}); err != nil {
 			return err
 		}
-		// Phantom slots: a ledger entry whose item is already gone (a
-		// tampered-away item the Select can no longer surface). Its leaves
-		// must still leave the commitment or the next audit flags a root
-		// mismatch against records that no longer exist.
-		var phantoms []string
-		if l.Ledger != nil {
-			live := make(map[string]bool, len(items))
-			for _, item := range items {
-				live[item] = true
-			}
-			for _, slot := range l.Ledger.Slots() {
-				if slot == LedgerItem || live[slot] {
-					continue
-				}
-				ref, perr := prov.ParseItemName(slot)
-				if perr != nil || !match(ref.Object) {
-					continue
-				}
-				phantoms = append(phantoms, slot)
-				l.catalog.Forget(ref)
-			}
-		}
-		if len(items) == 0 && len(phantoms) == 0 {
+		slots := core.ArcSlots(l.Ledger, slotObject, match)
+		if len(refs) == 0 && len(slots) == 0 {
 			return nil
 		}
 		// Deletions change what queries see even if a later step fails.
 		defer l.InvalidateQueries()
 		seenObject := make(map[prov.ObjectID]bool)
-		for i, item := range items {
+		for _, ref := range refs {
+			item := prov.EncodeItemName(ref)
 			// Overflow and spill objects all live under the item's prefix.
-			if err := l.deletePrefix(ctx, OverflowPrefix+"/"+item+"/"); err != nil {
+			if err := core.DeletePrefix(ctx, l.Retrier, "sdbprov/reshard-list", "sdbprov/reshard-delete", l.cfg.Cloud.S3, l.cfg.Bucket, OverflowPrefix+"/"+item+"/"); err != nil {
 				return err
 			}
 			err := l.Retrier.Do(ctx, "sdbprov/reshard-delete-item", func() error {
@@ -238,9 +179,9 @@ func (l *Layer) RemoveArc(ctx context.Context, match func(prov.ObjectID) bool) (
 			if err != nil {
 				return fmt.Errorf("sdbprov: reshard delete item: %w", err)
 			}
-			l.catalog.Forget(refs[i])
+			l.catalog.Forget(ref)
 			removed++
-			if object := refs[i].Object; !seenObject[object] {
+			if object := ref.Object; !seenObject[object] {
 				seenObject[object] = true
 				err := l.Retrier.Do(ctx, "sdbprov/reshard-delete-data", func() error {
 					return l.cfg.Cloud.S3.Delete(l.cfg.Bucket, DataKey(object))
@@ -250,41 +191,16 @@ func (l *Layer) RemoveArc(ctx context.Context, match func(prov.ObjectID) bool) (
 				}
 			}
 		}
-		return l.DropFromLedger(ctx, append(items, phantoms...))
-	})
-	return removed, err
-}
-
-// deletePrefix removes every S3 object under prefix.
-func (l *Layer) deletePrefix(ctx context.Context, prefix string) error {
-	marker := ""
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		var page *s3.ListPage
-		err := l.Retrier.Do(ctx, "sdbprov/reshard-list", func() error {
-			var lerr error
-			page, lerr = l.cfg.Cloud.S3.List(l.cfg.Bucket, prefix, marker, 0)
-			return lerr
-		})
-		if err != nil {
-			return err
-		}
-		for _, info := range page.Objects {
-			key := info.Key
-			err := l.Retrier.Do(ctx, "sdbprov/reshard-delete", func() error {
-				return l.cfg.Cloud.S3.Delete(l.cfg.Bucket, key)
-			})
-			if err != nil {
-				return err
-			}
-		}
-		if !page.IsTruncated {
+		if l.Ledger == nil {
 			return nil
 		}
-		marker = page.NextMarker
-	}
+		for _, slot := range slots {
+			ref, _ := prov.ParseItemName(slot) // ArcSlots keeps only subject items
+			l.catalog.Forget(ref)
+		}
+		return l.DropFromLedger(ctx, slots)
+	})
+	return removed, err
 }
 
 var _ core.Migrator = (*Layer)(nil)

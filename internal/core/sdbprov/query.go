@@ -202,10 +202,15 @@ func (l *Layer) computeRefs(ctx context.Context, q prov.Query) ([]prov.Ref, erro
 		return filterPrefix(refs, q.RefPrefix), nil
 	case seedPinned:
 		return l.computePinned(ctx, q)
-	default: // seedListing, seedAll
-		refs, err := l.listRefs(ctx)
-		if err != nil {
-			return nil, err
+	default: // seedListing, seedAll: item names only, no attribute fetch
+		var refs []prov.Ref
+		for name, err := range l.itemNames(ctx, "sdbprov/list-select") {
+			if err != nil {
+				return nil, err
+			}
+			if ref, perr := prov.ParseItemName(name); perr == nil {
+				refs = append(refs, ref)
+			}
 		}
 		return filterPrefix(refs, q.RefPrefix), nil
 	}
@@ -416,54 +421,17 @@ func (l *Layer) instancesOf(ctx context.Context, tool string) ([]prov.Ref, error
 // queryRefs runs one Query expression to completion, parsing item names.
 func (l *Layer) queryRefs(ctx context.Context, expr string) ([]prov.Ref, error) {
 	var out []prov.Ref
-	token := ""
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		res, err := l.cfg.Cloud.SDB.Query(l.cfg.Domain, expr, 0, token)
+	for names, err := range core.QueryPages(ctx, l.Retrier, "sdbprov/query", l.cfg.Cloud.SDB, l.cfg.Domain, expr) {
 		if err != nil {
 			return nil, err
 		}
-		for _, item := range res.ItemNames {
-			ref, err := prov.ParseItemName(item)
-			if err != nil {
-				continue
+		for _, item := range names {
+			if ref, perr := prov.ParseItemName(item); perr == nil {
+				out = append(out, ref)
 			}
-			out = append(out, ref)
 		}
-		if res.NextToken == "" {
-			return out, nil
-		}
-		token = res.NextToken
 	}
-}
-
-// listRefs enumerates every item's ref from Select itemName() — names
-// only, no attribute fetch.
-func (l *Layer) listRefs(ctx context.Context) ([]prov.Ref, error) {
-	var out []prov.Ref
-	token := ""
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		res, err := l.cfg.Cloud.SDB.Select("select itemName() from "+l.cfg.Domain, token)
-		if err != nil {
-			return nil, err
-		}
-		for _, item := range res.Items {
-			ref, err := prov.ParseItemName(item.Name)
-			if err != nil {
-				continue // foreign item in a shared domain
-			}
-			out = append(out, ref)
-		}
-		if res.NextToken == "" {
-			return out, nil
-		}
-		token = res.NextToken
-	}
+	return out, nil
 }
 
 // refAttrs pairs a matched item with the decoded values of the attributes
@@ -500,16 +468,11 @@ func (l *Layer) queryRefAttrs(ctx context.Context, expr string, attrNames []stri
 		want[n] = true
 	}
 	var out []refAttrs
-	token := ""
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		res, err := l.cfg.Cloud.SDB.QueryWithAttributes(l.cfg.Domain, expr, attrNames, 0, token)
+	for items, err := range core.QueryAttrPages(ctx, l.Retrier, "sdbprov/query-attrs", l.cfg.Cloud.SDB, l.cfg.Domain, expr, attrNames) {
 		if err != nil {
 			return nil, err
 		}
-		for _, item := range res.Items {
+		for _, item := range items {
 			ref, err := prov.ParseItemName(item.Name)
 			if err != nil {
 				continue
@@ -527,11 +490,8 @@ func (l *Layer) queryRefAttrs(ctx context.Context, expr string, attrNames []stri
 			}
 			out = append(out, ra)
 		}
-		if res.NextToken == "" {
-			return out, nil
-		}
-		token = res.NextToken
 	}
+	return out, nil
 }
 
 // inputChunkExpr renders one chunk's OR expression over input values.

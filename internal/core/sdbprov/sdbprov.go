@@ -670,38 +670,45 @@ func (l *Layer) VerifiedGet(ctx context.Context, object prov.ObjectID) (*core.Ob
 // resident at once.
 func (l *Layer) scanSeq(ctx context.Context) iter.Seq2[core.Entry, error] {
 	return func(yield func(core.Entry, error) bool) {
-		token := ""
-		for {
-			if err := ctx.Err(); err != nil {
-				yield(core.Entry{}, err)
-				return
-			}
-			res, err := l.cfg.Cloud.SDB.Select("select itemName() from "+l.cfg.Domain, token)
+		for name, err := range l.itemNames(ctx, "sdbprov/scan-select") {
 			if err != nil {
 				yield(core.Entry{}, err)
 				return
 			}
-			for _, item := range res.Items {
-				ref, err := prov.ParseItemName(item.Name)
-				if err != nil {
-					continue // foreign item in a shared domain
-				}
-				records, _, ok, err := l.FetchItem(ctx, ref)
-				if err != nil {
-					yield(core.Entry{}, err)
-					return
-				}
-				if !ok {
-					continue
-				}
-				if !yield(core.Entry{Ref: ref, Records: records}, nil) {
-					return
-				}
+			ref, perr := prov.ParseItemName(name)
+			if perr != nil {
+				continue // foreign item in a shared domain
 			}
-			if res.NextToken == "" {
+			records, _, ok, err := l.FetchItem(ctx, ref)
+			if err != nil {
+				yield(core.Entry{}, err)
 				return
 			}
-			token = res.NextToken
+			if !ok {
+				continue
+			}
+			if !yield(core.Entry{Ref: ref, Records: records}, nil) {
+				return
+			}
+		}
+	}
+}
+
+// itemNames streams the name of every item in the domain — subjects, the
+// ledger item and foreign items alike — paging "select itemName()" with
+// each page request retried as op.
+func (l *Layer) itemNames(ctx context.Context, op string) iter.Seq2[string, error] {
+	return func(yield func(string, error) bool) {
+		for items, err := range core.SelectPages(ctx, l.Retrier, op, l.cfg.Cloud.SDB, "select itemName() from "+l.cfg.Domain) {
+			if err != nil {
+				yield("", err)
+				return
+			}
+			for _, item := range items {
+				if !yield(item.Name, nil) {
+					return
+				}
+			}
 		}
 	}
 }
@@ -710,11 +717,13 @@ func (l *Layer) scanSeq(ctx context.Context) iter.Seq2[core.Entry, error] {
 
 // DropFromLedger removes deleted items' leaves from the Merkle ledger and
 // re-persists a fresh checkpoint on the dedicated ledger item, so the
-// commitment follows a legitimate deletion (the orphan scan) instead of
-// flagging it. This is the one place a checkpoint costs its own SimpleDB
-// call — a recovery path, never the healthy write path.
+// commitment follows a legitimate deletion (the orphan scan, an arc
+// removal) instead of flagging it. Callers invoke it once something was
+// deleted, even when none of the items held a slot. This is the one place
+// a checkpoint costs its own SimpleDB call — a recovery path, never the
+// healthy write path.
 func (l *Layer) DropFromLedger(ctx context.Context, items []string) error {
-	if l.Ledger == nil || len(items) == 0 {
+	if l.Ledger == nil {
 		return nil
 	}
 	for _, item := range items {
@@ -741,58 +750,42 @@ func (l *Layer) Audit(ctx context.Context) (*integrity.Audit, error) {
 		Entries:        make(map[prov.Ref][]prov.Record),
 		RetainsHistory: true, // items are per-version and never reclaimed
 	}
-	token := ""
-	for {
+	for name, err := range l.itemNames(ctx, "sdbprov/audit-select") {
+		if err != nil {
+			return nil, err
+		}
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		var res *sdb.SelectResult
-		err := l.Retrier.Do(ctx, "sdbprov/audit-select", func() error {
-			var serr error
-			res, serr = l.cfg.Cloud.SDB.Select("select itemName() from "+l.cfg.Domain, token)
-			return serr
+		var attrs []sdb.Attr
+		var ok bool
+		err := l.Retrier.Do(ctx, "sdbprov/audit-get", func() error {
+			var gerr error
+			attrs, ok, gerr = l.cfg.Cloud.SDB.GetAttributes(l.cfg.Domain, name)
+			return gerr
 		})
 		if err != nil {
 			return nil, err
 		}
-		for _, item := range res.Items {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			name := item.Name
-			var attrs []sdb.Attr
-			var ok bool
-			err := l.Retrier.Do(ctx, "sdbprov/audit-get", func() error {
-				var gerr error
-				attrs, ok, gerr = l.cfg.Cloud.SDB.GetAttributes(l.cfg.Domain, name)
-				return gerr
-			})
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-			ref, perr := prov.ParseItemName(name)
-			if perr != nil {
-				// The ledger item (or a foreign item): harvest any rider.
-				for _, at := range attrs {
-					if at.Name == integrity.AttrRoot {
-						a.AddCheckpoint(at.Value)
-					}
+		if !ok {
+			continue
+		}
+		ref, perr := prov.ParseItemName(name)
+		if perr != nil {
+			// The ledger item (or a foreign item): harvest any rider.
+			for _, at := range attrs {
+				if at.Name == integrity.AttrRoot {
+					a.AddCheckpoint(at.Value)
 				}
-				continue
 			}
-			records, _, rider, err := l.decodeAttrs(ctx, ref, attrs)
-			if err != nil {
-				return nil, err
-			}
-			a.Entries[ref] = records
-			a.AddCheckpoint(rider)
+			continue
 		}
-		if res.NextToken == "" {
-			return a, nil
+		records, _, rider, err := l.decodeAttrs(ctx, ref, attrs)
+		if err != nil {
+			return nil, err
 		}
-		token = res.NextToken
+		a.Entries[ref] = records
+		a.AddCheckpoint(rider)
 	}
+	return a, nil
 }

@@ -654,3 +654,36 @@ func TestUncachedLayerKeepsPaperCosts(t *testing.T) {
 		t.Fatal("uncached repeat query cost 0 ops; the knob does not disable the cache")
 	}
 }
+
+// TestNonCanonicalItemNameNeverAliasesSubject: an item planted under a
+// non-canonical spelling of a genuine subject's name (/f_00 for /f:0) is a
+// foreign item, so neither the scan nor the audit folds its attributes
+// into the genuine subject's provenance.
+func TestNonCanonicalItemNameNeverAliasesSubject(t *testing.T) {
+	ctx := context.Background()
+	layer, cl := newTestLayer(t, 0)
+	subject := ref("/f", 0)
+	if err := layer.WriteItem(ctx, subject, []prov.Record{prov.NewString(subject, prov.AttrType, prov.TypeFile)}, "", "t"); err != nil {
+		t.Fatal(err)
+	}
+	planted := []sdb.ReplaceableAttr{{Name: prov.AttrType, Value: "planted"}}
+	if err := cl.SDB.PutAttributes(layer.Domain(), "/f_00", planted); err != nil {
+		t.Fatal(err)
+	}
+	check := func(where string, records []prov.Record) {
+		t.Helper()
+		if len(records) != 1 || records[0].Value.Str != prov.TypeFile {
+			t.Fatalf("%s: %v carries %v, want only its own type record", where, subject, records)
+		}
+	}
+	all, err := core.CollectRecords(layer.Query(ctx, prov.Q1()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("Q1", all[subject])
+	a, err := layer.Audit(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("audit", a.Entries[subject])
+}

@@ -27,11 +27,13 @@ package sweep
 import (
 	"context"
 	"fmt"
+	"iter"
 	"sort"
 	"strconv"
 	"strings"
 
 	"passcloud/internal/cloud/sdb"
+	"passcloud/internal/core"
 	"passcloud/internal/core/integrity"
 	"passcloud/internal/core/sdbprov"
 	"passcloud/internal/prov"
@@ -136,16 +138,14 @@ type sdbItem struct {
 
 // sdbItems enumerates one shard's provenance items (bookkeeping items,
 // like the ledger, are excluded) in canonical name order.
-func (e *env) sdbItems(se *shardEnv, violations *[]string) []sdbItem {
+func (e *env) sdbItems(ctx context.Context, se *shardEnv, violations *[]string) []sdbItem {
 	var items []sdbItem
-	token := ""
-	for {
-		res, err := se.cloud.SDB.Select("select itemName() from "+se.layer.Domain(), token)
+	for page, err := range itemPages(ctx, se) {
 		if err != nil {
 			*violations = append(*violations, fmt.Sprintf("corruption enumerate select failed: %v", err))
 			return nil
 		}
-		for _, it := range res.Items {
+		for _, it := range page {
 			ref, err := prov.ParseItemName(it.Name)
 			if err != nil {
 				continue
@@ -156,13 +156,15 @@ func (e *env) sdbItems(se *shardEnv, violations *[]string) []sdbItem {
 			}
 			items = append(items, sdbItem{ref: ref, name: it.Name, attrs: attrs})
 		}
-		if res.NextToken == "" {
-			break
-		}
-		token = res.NextToken
 	}
 	sort.Slice(items, func(i, j int) bool { return items[i].name < items[j].name })
 	return items
+}
+
+// itemPages pages one shard's item names the way a raw client reads them:
+// no retrier, so an armed fault surfaces as it would to an auditor.
+func itemPages(ctx context.Context, se *shardEnv) iter.Seq2[[]sdb.Item, error] {
+	return core.SelectPages(ctx, nil, "sweep/select", se.cloud.SDB, "select itemName() from "+se.layer.Domain())
 }
 
 // s3Object is one data object as enumerated for victim choice.
@@ -215,7 +217,7 @@ func (e *env) corruptFlipByte(ctx context.Context, rng *sim.RNG, violations *[]s
 		}
 		var victims []victim
 		for si, se := range e.shards {
-			for _, it := range e.sdbItems(se, violations) {
+			for _, it := range e.sdbItems(ctx, se, violations) {
 				for _, a := range it.attrs {
 					if a.Name == integrity.AttrChain {
 						victims = append(victims, victim{shard: si, item: it.name, value: a.Value})
@@ -291,7 +293,7 @@ func (e *env) corruptSwapVersion(ctx context.Context, rng *sim.RNG, violations *
 		}
 		var victims []victim
 		for si, se := range e.shards {
-			items := e.sdbItems(se, violations)
+			items := e.sdbItems(ctx, se, violations)
 			chain := make(map[prov.Ref]sdbItem)
 			for _, it := range items {
 				for _, a := range it.attrs {
@@ -396,7 +398,7 @@ func (e *env) corruptDropRecord(ctx context.Context, rng *sim.RNG, violations *[
 		}
 		var victims []victim
 		for si, se := range e.shards {
-			for _, it := range e.sdbItems(se, violations) {
+			for _, it := range e.sdbItems(ctx, se, violations) {
 				for _, a := range it.attrs {
 					// Bookkeeping attrs are not provenance records; dropping
 					// them is out of the integrity layer's contract.

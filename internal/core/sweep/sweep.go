@@ -738,7 +738,7 @@ func (e *env) runMigration(ctx context.Context, cfg Config, rng *sim.RNG, faults
 			match := plan.Moved(ctrl)
 			src, dst := e.shards[plan.Src], e.shards[plan.Dst]
 			if src.layer != nil {
-				for _, it := range e.sdbItems(src, &res.Violations) {
+				for _, it := range e.sdbItems(ctx, src, &res.Violations) {
 					if !match(it.ref.Object) {
 						continue
 					}
@@ -999,14 +999,12 @@ func (e *env) checkInvariants(ctx context.Context, cfg Config, sys *pass.System,
 // missing or older than the item claims.
 func (e *env) orphanItems(ctx context.Context, se *shardEnv, si int, v *[]string) []prov.Ref {
 	var orphans []prov.Ref
-	token := ""
-	for {
-		res, err := se.cloud.SDB.Select("select itemName() from "+se.layer.Domain(), token)
+	for page, err := range itemPages(ctx, se) {
 		if err != nil {
 			*v = append(*v, fmt.Sprintf("shard %d: orphan scan select failed: %v", si, err))
 			return orphans
 		}
-		for _, item := range res.Items {
+		for _, item := range page {
 			ref, err := prov.ParseItemName(item.Name)
 			if err != nil {
 				continue
@@ -1028,11 +1026,8 @@ func (e *env) orphanItems(ctx context.Context, se *shardEnv, si int, v *[]string
 				orphans = append(orphans, ref)
 			}
 		}
-		if res.NextToken == "" {
-			return orphans
-		}
-		token = res.NextToken
 	}
+	return orphans
 }
 
 // diffProvenance compares two repository maps; empty string means equal.
@@ -1071,14 +1066,12 @@ func (e *env) digest(ctx context.Context) string {
 
 	for si, se := range e.shards {
 		if se.layer != nil {
-			token := ""
-			for {
-				res, err := se.cloud.SDB.Select("select itemName() from "+se.layer.Domain(), token)
+			for page, err := range itemPages(ctx, se) {
 				if err != nil {
 					fmt.Fprintf(h, "shard%d select-err %v\n", si, err)
 					break
 				}
-				for _, item := range res.Items {
+				for _, item := range page {
 					ref, err := prov.ParseItemName(item.Name)
 					if err != nil {
 						continue
@@ -1089,10 +1082,6 @@ func (e *env) digest(ctx context.Context) string {
 					}
 					entries = append(entries, fmt.Sprintf("shard%d item %s md5=%s\n%s", si, item.Name, md5hex, canonRecords(records)))
 				}
-				if res.NextToken == "" {
-					break
-				}
-				token = res.NextToken
 			}
 		} else if q, ok := se.store.(core.Querier); ok {
 			all, err := core.CollectRecords(q.Query(ctx, prov.Q1()))

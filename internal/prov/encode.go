@@ -119,7 +119,10 @@ func EncodeItemName(subject Ref) string {
 }
 
 // ParseItemName reverses EncodeItemName. The version is the digits after
-// the final underscore, so object names may contain underscores.
+// the final underscore, so object names may contain underscores. Only the
+// canonical form parses: a name EncodeItemName would not produce (a
+// leading zero or sign, as in f_07 or f_+7) is malformed, so an item
+// planted under such a name can never alias a genuine subject.
 func ParseItemName(item string) (Ref, error) {
 	i := strings.LastIndex(item, itemNameSep)
 	if i <= 0 || i == len(item)-1 {
@@ -129,7 +132,11 @@ func ParseItemName(item string) (Ref, error) {
 	if err != nil || v < 0 {
 		return Ref{}, fmt.Errorf("%w: item name version %q", ErrMalformed, item)
 	}
-	return Ref{Object: ObjectID(item[:i]), Version: Version(v)}, nil
+	ref := Ref{Object: ObjectID(item[:i]), Version: Version(v)}
+	if EncodeItemName(ref) != item {
+		return Ref{}, fmt.Errorf("%w: non-canonical item name %q", ErrMalformed, item)
+	}
+	return ref, nil
 }
 
 // SDBAttr is an attribute-value pair destined for SimpleDB. It mirrors

@@ -272,7 +272,9 @@ func TestItemNameRoundTrip(t *testing.T) {
 }
 
 func TestParseItemNameErrors(t *testing.T) {
-	for _, s := range []string{"", "plain", "_2", "x_", "x_y"} {
+	// Non-canonical versions (leading zeros, a sign) would alias the
+	// genuine x_7 subject.
+	for _, s := range []string{"", "plain", "_2", "x_", "x_y", "x_07", "x_+7", "x_0007", "x_-0", "x_00"} {
 		if _, err := ParseItemName(s); err == nil {
 			t.Fatalf("ParseItemName(%q) succeeded", s)
 		}
