@@ -2,168 +2,211 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
-	"strconv"
 	"strings"
 	"testing"
 )
 
-// baseReport carries every section benchdiff gates, one row each, with
-// every gated metric nonzero.
+// baseReport declares one row of every section passbench gates, with every
+// ops and dollar metric nonzero.
 const baseReport = `{
-  "schema": "passbench/v1", "scale": 0.02, "seed": 1, "tool": "blast",
-  "dataset": {"Objects": 100, "Transients": 50},
-  "table2": {"Rows": [{"Arch": "s3", "ProvOps": 100}]},
-  "table3": {"Rows": [{"Query": "Q.1", "Arch": "s3", "Ops": 10, "Results": 5}]},
-  "retry": {"s3": {"retries": 2, "exhausted": 1}},
-  "load": {"tenants": 2, "writers": 2, "batches": 3, "seed": 7,
-    "runs": [{"arch": "s3", "shards": 4, "events": 100, "write_ops": 200, "throughput_eps": 50}]},
-  "rebalance": {"writers": 2, "batches": 3, "seed": 7, "shards": 4, "hot_fraction": 0.5,
-    "runs": [{"arch": "s3", "action": "split", "pre_hot_share": 0.8, "post_hot_share": 0.4,
-      "mig_ops": 30, "mig_bytes": 1000, "mig_usd": 0.01}]},
-  "sharded": {"rows": [{"arch": "s3", "shards": 4, "prov_ops": 100,
-    "queries": [{"query": "Q.1", "ops": 10, "results": 5, "usd": 0.001}],
-    "verify_ops": 40, "verify_usd": 0.002, "verify_clean": true}]},
-  "replay": {"rows": [{"arch": "s3", "shards": 4, "subjects": 10, "sources": 2, "compared": 8,
-    "divergences": 0, "extract_ops": 20, "replay_ops": 30, "replay_usd": 0.003}]}
+  "schema": "passbench/v2",
+  "config": {"scale": 0.02, "seed": 1, "tool": "blast", "query_cache": false,
+    "load/tenants": 2, "load/writers": 2, "load/queriers": 1, "load/batches": 3, "load/seed": 7,
+    "load/shard_counts": [4],
+    "rebalance/writers": 2, "rebalance/batches": 3, "rebalance/seed": 7, "rebalance/shards": 4,
+    "rebalance/hot_fraction": 0.5,
+    "sharded/shard_counts": [4], "replay/shard_counts": [4]},
+  "metrics": [
+    {"name": "table2/provops/s3", "value": 100, "better": "lower"},
+    {"name": "table3/ops/Q.1/s3", "value": 10, "better": "lower"},
+    {"name": "table3/results/Q.1/s3", "value": 5, "better": "equal"},
+    {"name": "retry/retries/s3", "value": 2, "better": "lower"},
+    {"name": "retry/exhausted/s3", "value": 1, "better": "lower"},
+    {"name": "load/s3/x4/events", "value": 100, "better": "equal"},
+    {"name": "load/s3/x4/writeops", "value": 200, "better": "lower"},
+    {"name": "load/s3/x4/eps", "value": 50, "better": "higher"},
+    {"name": "rebalance/s3/split", "value": 1, "better": "higher"},
+    {"name": "rebalance/s3/posthotshare", "value": 0.4, "better": "lower"},
+    {"name": "rebalance/s3/migops", "value": 30, "better": "lower"},
+    {"name": "rebalance/s3/migusd", "value": 0.01, "better": "lower"},
+    {"name": "sharded/s3/x4/provops", "value": 100, "better": "lower"},
+    {"name": "sharded/s3/x4/verifyops", "value": 40, "better": "lower"},
+    {"name": "sharded/s3/x4/verifyusd", "value": 0.002, "better": "lower"},
+    {"name": "sharded/s3/x4/clean", "value": 1, "better": "higher"},
+    {"name": "sharded/s3/x4/Q.1/ops", "value": 10, "better": "lower"},
+    {"name": "sharded/s3/x4/Q.1/usd", "value": 0.001, "better": "lower"},
+    {"name": "sharded/s3/x4/Q.1/results", "value": 5, "better": "equal"},
+    {"name": "replay/s3/x4/extractops", "value": 20, "better": "lower"},
+    {"name": "replay/s3/x4/replayops", "value": 30, "better": "lower"},
+    {"name": "replay/s3/x4/replayusd", "value": 0.003, "better": "lower"},
+    {"name": "replay/s3/x4/compared", "value": 8, "better": "equal"},
+    {"name": "replay/s3/x4/divergences", "value": 0, "better": "lower"}
+  ]
 }`
 
-// set replaces the value at a dot-separated path (map keys and slice
-// indexes) of a decoded JSON document.
-func set(t *testing.T, doc any, path string, v any) {
-	t.Helper()
-	keys := strings.Split(path, ".")
-	for i, k := range keys {
-		last := i == len(keys)-1
-		switch node := doc.(type) {
-		case map[string]any:
-			if last {
-				node[k] = v
+// edit is one mutation of a decoded report.
+type edit func(*report)
+
+// set changes metric name's value.
+func set(name string, v float64) edit {
+	return func(r *report) {
+		for i := range r.Metrics {
+			if r.Metrics[i].Name == name {
+				r.Metrics[i].Value = v
 				return
 			}
-			doc = node[k]
-		case []any:
-			n, err := strconv.Atoi(k)
-			if err != nil || n >= len(node) {
-				t.Fatalf("path %q: bad index %q", path, k)
-			}
-			if last {
-				node[n] = v
-				return
-			}
-			doc = node[n]
-		default:
-			t.Fatalf("path %q: no node at %q", path, k)
 		}
+		panic("no metric " + name)
 	}
 }
 
+// drop removes every metric whose name has one of the prefixes.
+func drop(prefixes ...string) edit {
+	return func(r *report) {
+		kept := r.Metrics[:0]
+		for _, m := range r.Metrics {
+			gone := false
+			for _, p := range prefixes {
+				gone = gone || strings.HasPrefix(m.Name, p)
+			}
+			if !gone {
+				kept = append(kept, m)
+			}
+		}
+		r.Metrics = kept
+	}
+}
+
+// add declares a new metric.
+func add(name, better string, v float64) edit {
+	return func(r *report) { r.Metrics = append(r.Metrics, metric{Name: name, Value: v, Better: better}) }
+}
+
+// config changes one config entry.
+func config(key string, v any) edit {
+	return func(r *report) { r.Config[key] = v }
+}
+
 // TestCompare pins benchdiff's gate: identical reports pass, every gated
-// metric fails once it regresses beyond -tol, a vanished section or row
-// fails, and reports of a different scale, seed or tool skip.
+// metric fails once it regresses beyond -tol (an equal metric on any
+// change), a vanished section, row or metric fails, a metric only in the
+// new report passes, and any config difference fails as a stale baseline.
 func TestCompare(t *testing.T) {
 	cases := []struct {
-		name  string
-		path  string
-		value any
-		// fail names the metric the REGRESSION line must carry; empty
-		// means the comparison passes.
+		name string
+		// old and new edit copies of baseReport before the comparison.
+		old, new []edit
+		// fail names the metric or config line that must be flagged;
+		// empty means the comparison passes.
 		fail string
-		skip bool
 	}{
 		{name: "identical"},
-		{name: "within tolerance", path: "table2.Rows.0.ProvOps", value: 101},
+		{name: "within tolerance", new: []edit{set("table2/provops/s3", 101)}},
+		{name: "seeded metric", new: []edit{add("table2/provops/s3+sdb", "lower", 5)}},
+		{name: "rebalance none to split", old: []edit{set("rebalance/s3/split", 0)}},
+		{name: "improvements", new: []edit{set("table2/provops/s3", 50), set("load/s3/x4/eps", 80)}},
 
-		{name: "table2 provops", path: "table2.Rows.0.ProvOps", value: 102, fail: "table2/provops/s3"},
-		{name: "table3 ops", path: "table3.Rows.0.Ops", value: 11, fail: "table3/ops/Q.1/s3"},
-		{name: "table3 results", path: "table3.Rows.0.Results", value: 4, fail: "table3/results/Q.1/s3"},
-		{name: "retry retries", path: "retry.s3.retries", value: 3, fail: "retry/retries/s3"},
-		{name: "retry exhausted", path: "retry.s3.exhausted", value: 2, fail: "retry/exhausted/s3"},
-		{name: "load events", path: "load.runs.0.events", value: 99, fail: "load/s3/x4 "},
-		{name: "load writeops", path: "load.runs.0.write_ops", value: 210, fail: "load/s3/x4/writeops"},
-		{name: "load eps", path: "load.runs.0.throughput_eps", value: 40, fail: "load/s3/x4/eps"},
-		{name: "rebalance action", path: "rebalance.runs.0.action", value: "none", fail: "rebalance/s3 "},
-		{name: "rebalance posthotshare", path: "rebalance.runs.0.post_hot_share", value: 0.5, fail: "rebalance/s3/posthotshare"},
-		{name: "rebalance migops", path: "rebalance.runs.0.mig_ops", value: 31, fail: "rebalance/s3/migops"},
-		{name: "rebalance migusd", path: "rebalance.runs.0.mig_usd", value: 0.011, fail: "rebalance/s3/migusd"},
-		{name: "sharded provops", path: "sharded.rows.0.prov_ops", value: 110, fail: "sharded/s3/x4/provops"},
-		{name: "sharded verifyops", path: "sharded.rows.0.verify_ops", value: 41, fail: "sharded/s3/x4/verifyops"},
-		{name: "sharded verifyusd", path: "sharded.rows.0.verify_usd", value: 0.003, fail: "sharded/s3/x4/verifyusd"},
-		{name: "sharded clean", path: "sharded.rows.0.verify_clean", value: false, fail: "sharded/s3/x4 "},
-		{name: "sharded query ops", path: "sharded.rows.0.queries.0.ops", value: 11, fail: "sharded/s3/x4/Q.1/ops"},
-		{name: "sharded query usd", path: "sharded.rows.0.queries.0.usd", value: 0.002, fail: "sharded/s3/x4/Q.1/usd"},
-		{name: "sharded query results", path: "sharded.rows.0.queries.0.results", value: 6, fail: "sharded/s3/x4/Q.1 "},
-		{name: "replay extract ops", path: "replay.rows.0.extract_ops", value: 21, fail: "replay/s3/x4/extractops"},
-		{name: "replay ops", path: "replay.rows.0.replay_ops", value: 31, fail: "replay/s3/x4/replayops"},
-		{name: "replay usd", path: "replay.rows.0.replay_usd", value: 0.004, fail: "replay/s3/x4/replayusd"},
-		{name: "replay divergences", path: "replay.rows.0.divergences", value: 1, fail: "replay/s3/x4 "},
-		{name: "replay compared", path: "replay.rows.0.compared", value: 7, fail: "replay/s3/x4 "},
+		{name: "table2 provops", new: []edit{set("table2/provops/s3", 102)}, fail: "table2/provops/s3"},
+		{name: "table3 ops", new: []edit{set("table3/ops/Q.1/s3", 11)}, fail: "table3/ops/Q.1/s3"},
+		{name: "table3 results", new: []edit{set("table3/results/Q.1/s3", 4)}, fail: "table3/results/Q.1/s3"},
+		{name: "retry retries", new: []edit{set("retry/retries/s3", 3)}, fail: "retry/retries/s3"},
+		{name: "retry exhausted", new: []edit{set("retry/exhausted/s3", 2)}, fail: "retry/exhausted/s3"},
+		{name: "retry from zero", old: []edit{set("retry/retries/s3", 0)}, new: []edit{set("retry/retries/s3", 1)}, fail: "retry/retries/s3"},
+		{name: "load events", new: []edit{set("load/s3/x4/events", 99)}, fail: "load/s3/x4/events"},
+		{name: "load writeops", new: []edit{set("load/s3/x4/writeops", 210)}, fail: "load/s3/x4/writeops"},
+		{name: "load eps", new: []edit{set("load/s3/x4/eps", 40)}, fail: "load/s3/x4/eps"},
+		{name: "rebalance action", new: []edit{set("rebalance/s3/split", 0)}, fail: "rebalance/s3/split"},
+		{name: "rebalance posthotshare", new: []edit{set("rebalance/s3/posthotshare", 0.5)}, fail: "rebalance/s3/posthotshare"},
+		{name: "rebalance migops", new: []edit{set("rebalance/s3/migops", 31)}, fail: "rebalance/s3/migops"},
+		{name: "rebalance migusd", new: []edit{set("rebalance/s3/migusd", 0.011)}, fail: "rebalance/s3/migusd"},
+		{name: "sharded provops", new: []edit{set("sharded/s3/x4/provops", 110)}, fail: "sharded/s3/x4/provops"},
+		{name: "sharded verifyops", new: []edit{set("sharded/s3/x4/verifyops", 41)}, fail: "sharded/s3/x4/verifyops"},
+		{name: "sharded verifyusd", new: []edit{set("sharded/s3/x4/verifyusd", 0.003)}, fail: "sharded/s3/x4/verifyusd"},
+		{name: "sharded clean", new: []edit{set("sharded/s3/x4/clean", 0)}, fail: "sharded/s3/x4/clean"},
+		{name: "sharded query ops", new: []edit{set("sharded/s3/x4/Q.1/ops", 11)}, fail: "sharded/s3/x4/Q.1/ops"},
+		{name: "sharded query usd", new: []edit{set("sharded/s3/x4/Q.1/usd", 0.002)}, fail: "sharded/s3/x4/Q.1/usd"},
+		{name: "sharded query results", new: []edit{set("sharded/s3/x4/Q.1/results", 6)}, fail: "sharded/s3/x4/Q.1/results"},
+		{name: "replay extract ops", new: []edit{set("replay/s3/x4/extractops", 21)}, fail: "replay/s3/x4/extractops"},
+		{name: "replay ops", new: []edit{set("replay/s3/x4/replayops", 31)}, fail: "replay/s3/x4/replayops"},
+		{name: "replay usd", new: []edit{set("replay/s3/x4/replayusd", 0.004)}, fail: "replay/s3/x4/replayusd"},
+		{name: "replay divergences", new: []edit{set("replay/s3/x4/divergences", 1)}, fail: "replay/s3/x4/divergences"},
+		{name: "replay compared", new: []edit{set("replay/s3/x4/compared", 7)}, fail: "replay/s3/x4/compared"},
 
-		{name: "vanished retry", path: "retry", value: nil, fail: "retry/(all)"},
-		{name: "vanished load", path: "load", value: nil, fail: "load/(all)"},
-		{name: "vanished rebalance", path: "rebalance", value: nil, fail: "rebalance/(all)"},
-		{name: "vanished sharded", path: "sharded", value: nil, fail: "sharded/(all)"},
-		{name: "vanished replay", path: "replay", value: nil, fail: "replay/(all)"},
-		{name: "vanished table2 row", path: "table2.Rows", value: []any{}, fail: "table2/provops/s3"},
-		{name: "vanished table3 row", path: "table3.Rows", value: []any{}, fail: "table3/Q.1/s3"},
-		{name: "vanished retry arch", path: "retry", value: map[string]any{"s3+sdb": map[string]any{}}, fail: "retry/s3 "},
-		{name: "vanished load run", path: "load.runs", value: []any{}, fail: "load/s3/x4 "},
-		{name: "vanished rebalance run", path: "rebalance.runs", value: []any{}, fail: "rebalance/s3 "},
-		{name: "vanished sharded row", path: "sharded.rows", value: []any{}, fail: "sharded/s3/x4 "},
-		{name: "vanished sharded query", path: "sharded.rows.0.queries", value: []any{}, fail: "sharded/s3/x4/Q.1 "},
-		{name: "vanished replay row", path: "replay.rows", value: []any{}, fail: "replay/s3/x4 "},
+		{name: "vanished table2", new: []edit{drop("table2/")}, fail: "table2/provops/s3"},
+		{name: "vanished table3", new: []edit{drop("table3/")}, fail: "table3/ops/Q.1/s3"},
+		{name: "vanished retry", new: []edit{drop("retry/")}, fail: "retry/retries/s3"},
+		{name: "vanished load", new: []edit{drop("load/")}, fail: "load/s3/x4/events"},
+		{name: "vanished rebalance", new: []edit{drop("rebalance/")}, fail: "rebalance/s3/split"},
+		{name: "vanished sharded", new: []edit{drop("sharded/")}, fail: "sharded/s3/x4/provops"},
+		{name: "vanished replay", new: []edit{drop("replay/")}, fail: "replay/s3/x4/extractops"},
+		{name: "vanished table2 row", new: []edit{drop("table2/provops/s3")}, fail: "table2/provops/s3"},
+		{name: "vanished table3 row", new: []edit{drop("table3/ops/Q.1/s3", "table3/results/Q.1/s3")}, fail: "table3/results/Q.1/s3"},
+		{name: "vanished retry arch", new: []edit{drop("retry/"), add("retry/retries/s3+sdb", "lower", 0), add("retry/exhausted/s3+sdb", "lower", 0)},
+			fail: "retry/exhausted/s3"},
+		{name: "vanished load run", new: []edit{drop("load/s3/x4/")}, fail: "load/s3/x4/eps"},
+		{name: "vanished rebalance run", new: []edit{drop("rebalance/s3/")}, fail: "rebalance/s3/migusd"},
+		{name: "vanished sharded row", new: []edit{drop("sharded/s3/x4/")}, fail: "sharded/s3/x4/clean"},
+		{name: "vanished sharded query", new: []edit{drop("sharded/s3/x4/Q.1/")}, fail: "sharded/s3/x4/Q.1/results"},
+		{name: "vanished replay row", new: []edit{drop("replay/s3/x4/")}, fail: "replay/s3/x4/divergences"},
 
-		{name: "scale mismatch", path: "scale", value: 0.05, skip: true},
-		{name: "seed mismatch", path: "seed", value: 2, skip: true},
-		{name: "tool mismatch", path: "tool", value: "compile", skip: true},
+		{name: "scale mismatch", new: []edit{config("scale", 0.05)}, fail: "config/scale"},
+		{name: "seed mismatch", new: []edit{config("seed", 2.0)}, fail: "config/seed"},
+		{name: "tool mismatch", new: []edit{config("tool", "compile")}, fail: "config/tool"},
+		{name: "load config mismatch", new: []edit{config("load/tenants", 3.0)}, fail: "config/load/tenants"},
+		{name: "load shard counts mismatch", new: []edit{config("load/shard_counts", []any{1.0, 4.0})}, fail: "config/load/shard_counts"},
+		{name: "vanished config", new: []edit{func(r *report) { delete(r.Config, "rebalance/hot_fraction") }},
+			fail: "config/rebalance/hot_fraction"},
 	}
-	var oldRep report
-	if err := json.Unmarshal([]byte(baseReport), &oldRep); err != nil {
-		t.Fatal(err)
+	decode := func(edits []edit) *report {
+		r, err := parse([]byte(baseReport))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range edits {
+			e(r)
+		}
+		return r
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var doc map[string]any
-			if err := json.Unmarshal([]byte(baseReport), &doc); err != nil {
-				t.Fatal(err)
-			}
-			if tc.path != "" {
-				set(t, doc, tc.path, tc.value)
-			}
-			raw, err := json.Marshal(doc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var newRep report
-			if err := json.Unmarshal(raw, &newRep); err != nil {
-				t.Fatal(err)
-			}
 			var out bytes.Buffer
-			ok := compare(&out, &oldRep, &newRep, 0.01)
+			ok := compare(&out, decode(tc.old), decode(tc.new), 0.01)
 			text := out.String()
-			switch {
-			case tc.skip:
-				if !ok || !strings.Contains(text, "skipping") || strings.Contains(text, "benchdiff: OK") {
-					t.Fatalf("want a skip, got ok=%v:\n%s", ok, text)
-				}
-			case tc.fail == "":
+			if tc.fail == "" {
 				if !ok || strings.Contains(text, "REGRESSION") || !strings.HasSuffix(text, "benchdiff: OK\n") {
 					t.Fatalf("want a pass, got ok=%v:\n%s", ok, text)
 				}
-			default:
-				if ok || !strings.HasSuffix(text, "benchdiff: FAIL\n") {
-					t.Fatalf("want a failure, got ok=%v:\n%s", ok, text)
-				}
-				flagged := false
-				for _, line := range strings.Split(text, "\n") {
-					if strings.HasPrefix(line, tc.fail) && strings.Contains(line, "REGRESSION") {
-						flagged = true
-					}
-				}
-				if !flagged {
-					t.Fatalf("no REGRESSION line for %q:\n%s", tc.fail, text)
+				return
+			}
+			if ok || !strings.HasSuffix(text, "benchdiff: FAIL\n") {
+				t.Fatalf("want a failure, got ok=%v:\n%s", ok, text)
+			}
+			flagged := false
+			for _, line := range strings.Split(text, "\n") {
+				if strings.HasPrefix(line, tc.fail+" ") &&
+					(strings.Contains(line, "REGRESSION") || strings.Contains(line, "MISMATCH")) {
+					flagged = true
 				}
 			}
+			if !flagged {
+				t.Fatalf("no REGRESSION or MISMATCH line for %q:\n%s", tc.fail, text)
+			}
 		})
+	}
+}
+
+// TestParseRejects pins the report validation: another schema (a
+// passbench/v1 baseline has no metrics and would pass vacuously), an
+// unknown direction, and a metric declared twice are errors.
+func TestParseRejects(t *testing.T) {
+	for name, raw := range map[string]string{
+		"v1 schema":      `{"schema": "passbench/v1"}`,
+		"unknown better": `{"schema": "passbench/v2", "metrics": [{"name": "a", "value": 1, "better": "smaller"}]}`,
+		"duplicate": `{"schema": "passbench/v2", "metrics": [
+			{"name": "a", "value": 1, "better": "lower"}, {"name": "a", "value": 2, "better": "lower"}]}`,
+	} {
+		if _, err := parse([]byte(raw)); err == nil {
+			t.Errorf("%s: parsed without error", name)
+		}
 	}
 }

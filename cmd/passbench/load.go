@@ -15,12 +15,12 @@ import (
 
 // This file is passbench's scale-out mode (-load): the sustained-load
 // harness run for every architecture at every requested shard count, so
-// the trajectory artifact carries throughput/scaling numbers benchdiff
-// can gate exactly like it gates cloud-op counts.
+// the trajectory artifact carries throughput/scaling numbers gated
+// exactly like the cloud-op counts.
 
 // loadRunJSON is one (architecture, shard count) cell of the load matrix.
-// Deterministic fields (events, ops, modeled throughput) are what
-// benchdiff gates; wall-clock and latency percentiles are informative.
+// Deterministic fields (events, ops, modeled throughput) are gated;
+// wall-clock and latency percentiles are informative.
 type loadRunJSON struct {
 	Arch         string  `json:"arch"`
 	Shards       int     `json:"shards"`
@@ -54,6 +54,26 @@ type loadReportJSON struct {
 	Seed        int64         `json:"seed"`
 	ShardCounts []int         `json:"shard_counts"`
 	Runs        []loadRunJSON `json:"runs"`
+}
+
+// declare gates the load matrix per (architecture, shard count): write
+// ops must not grow and modeled throughput must not drop, and the event
+// count is an identity (same config, same offered workload). The WAL
+// architecture's op totals can drift a few ops with queue interleaving;
+// benchdiff's -tol absorbs it.
+func (rep *loadReportJSON) declare(r *report) {
+	r.Config["load/tenants"] = rep.Tenants
+	r.Config["load/writers"] = rep.Writers
+	r.Config["load/queriers"] = rep.Queriers
+	r.Config["load/batches"] = rep.Batches
+	r.Config["load/seed"] = rep.Seed
+	r.Config["load/shard_counts"] = rep.ShardCounts
+	for _, run := range rep.Runs {
+		name := fmt.Sprintf("load/%s/x%d/", run.Arch, run.Shards)
+		r.gate(name+"events", equal, float64(run.Events))
+		r.gate(name+"writeops", lower, float64(run.WriteOps))
+		r.gate(name+"eps", higher, run.Throughput)
+	}
 }
 
 // parseShardCounts parses the -load-shards flag ("1,4,16").

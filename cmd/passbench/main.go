@@ -8,7 +8,7 @@
 //	passbench -table 3 -tool softmean
 //	passbench -table 3 -qcache          # adds Q.n+ repeat rows (snapshot cache)
 //	passbench -usd                      # January-2009 USD pricing
-//	passbench -json > BENCH_run.json    # machine-readable, for trajectory tracking
+//	passbench -json > BENCH_run.json    # machine-readable: config, gated metrics, sections
 //	passbench -load                     # scale-out matrix: 3 archs x 1/4/16 shards
 //	passbench -load -load-shards 1,8    # custom shard counts
 //	passbench -load-rebalance           # elastic resharding: skewed load -> split -> replay
@@ -20,8 +20,13 @@
 // open-loop multi-tenant generator against each architecture sharded
 // across isolated namespaces, reporting deterministic write throughput
 // under the WAN2009 latency model plus wall-clock latency histograms.
-// With -json the numbers ride the report's "load" section, which
-// benchdiff gates the same way it gates the cost tables.
+// With -json the numbers ride the report's "load" section.
+//
+// With -json each section also declares its gated values as metrics
+// {name, value, better} and its run config under the report's "config"
+// map; cmd/benchdiff gates two reports by those alone, knowing no section.
+// A run whose sharded namespace does not verify clean, or whose replay of
+// its own capture diverges, exits non-zero whatever the output mode.
 //
 // Scale 1.0 reproduces the paper's dataset size (~1.27 GB, ~31k objects);
 // the default 0.1 keeps memory modest while preserving every ratio.
@@ -33,9 +38,12 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"maps"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
+	"strings"
 	"time"
 
 	"passcloud/internal/cloud/billing"
@@ -44,25 +52,25 @@ import (
 	"passcloud/internal/workload"
 )
 
-// report is the machine-readable form -json emits: everything the run
-// produced, under a stable schema tag so trajectory tooling can diff
-// BENCH_*.json files across commits.
+// report is the machine-readable form -json emits: the run's config, the
+// metrics benchdiff gates, and every section the run produced, under a
+// stable schema tag so trajectory tooling can diff reports across commits.
 type report struct {
-	Schema string  `json:"schema"` // "passbench/v1"
-	Scale  float64 `json:"scale"`
-	Seed   int64   `json:"seed"`
-	Tool   string  `json:"tool"`
-	// QueryCache records whether Table 3 ran with the snapshot cache
-	// enabled (its rows then include "+"-suffixed repeat runs).
-	QueryCache bool               `json:"query_cache,omitempty"`
-	Table1     []cost.Table1Row   `json:"table1,omitempty"`
-	Table2     *cost.Table2       `json:"table2,omitempty"`
-	Table3     *cost.Table3       `json:"table3,omitempty"`
-	Dataset    *cost.DatasetStats `json:"dataset,omitempty"`
+	Schema string `json:"schema"` // "passbench/v2"
+	// Config is what makes two reports comparable: scale, seed, tool,
+	// query_cache, and each section's run config under "<section>/<key>".
+	// benchdiff fails a report whose config differs from its baseline's.
+	Config map[string]any `json:"config"`
+	// Metrics is every gated value, declared by the section that produced
+	// it (see declare).
+	Metrics []metric           `json:"metrics"`
+	Table1  []cost.Table1Row   `json:"table1,omitempty"`
+	Table2  *cost.Table2       `json:"table2,omitempty"`
+	Table3  *cost.Table3       `json:"table3,omitempty"`
+	Dataset *cost.DatasetStats `json:"dataset,omitempty"`
 	// Retry reports each architecture's cumulative retry overhead for the
 	// run (attempts, retries, recoveries, exhaustions, backoff wait). On a
-	// healthy simulated region every counter except Attempts is zero;
-	// benchdiff gates on regressions.
+	// healthy simulated region every counter except Attempts is zero.
 	Retry map[string]retryTotals `json:"retry,omitempty"`
 	// USD is the January-2009 load-phase bill per architecture.
 	USD map[string]float64 `json:"usd,omitempty"`
@@ -71,20 +79,114 @@ type report struct {
 	Load *loadReportJSON `json:"load,omitempty"`
 	// Rebalance is the elastic-resharding measurement (-load-rebalance):
 	// hot-shard op shares before and after the migration controller's
-	// split, plus the migration's own metered cost. benchdiff gates the
-	// post-split share and the migration cost.
+	// split, plus the migration's own metered cost.
 	Rebalance *rebalanceReportJSON `json:"rebalance,omitempty"`
 	// Sharded is the sharded cost matrix (-sharded): the Tables 2/3
 	// workloads through the shard router at each shard count, plus the
 	// ops and dollars a full tamper-evidence audit of each namespace
-	// costs. benchdiff gates its op counts and the verification cost.
+	// costs.
 	Sharded *cost.ShardedCosts `json:"sharded,omitempty"`
 	// Replay is the replay cost matrix (-replay): every current lineage
 	// re-executed against a fresh sandbox namespace, with the extraction
 	// and re-execution ops and the January-2009 re-execution bill.
-	// benchdiff gates the op counts, the bill, and that the replay of a
-	// faithful capture stays divergence-free.
 	Replay *cost.ReplayCosts `json:"replay,omitempty"`
+}
+
+// metric is one gated value. Better names the direction of a regression
+// for benchdiff: a "lower" metric fails when it grows by more than -tol
+// (any growth from 0 fails), a "higher" one when it drops by more than
+// -tol, and an "equal" one on any change.
+type metric struct {
+	Name   string  `json:"name"`
+	Value  float64 `json:"value"`
+	Better string  `json:"better"`
+}
+
+const (
+	lower  = "lower"
+	higher = "higher"
+	equal  = "equal"
+)
+
+// gate declares one metric.
+func (r *report) gate(name, better string, v float64) {
+	r.Metrics = append(r.Metrics, metric{Name: name, Value: v, Better: better})
+}
+
+// flag01 is a 0/1 metric value: gated "higher", a true turning false fails.
+func flag01(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// declare fills Metrics (and the sections' Config entries) from the
+// sections the run produced. Each section declares its own gates in one
+// function; a new section adds one and a line here, and benchdiff gates
+// it unchanged.
+func (r *report) declare() {
+	if r.Table2 != nil {
+		declareTable2(r, r.Table2)
+	}
+	if r.Table3 != nil {
+		declareTable3(r, r.Table3)
+	}
+	declareRetry(r, r.Retry)
+	if r.Load != nil {
+		r.Load.declare(r)
+	}
+	if r.Rebalance != nil {
+		r.Rebalance.declare(r)
+	}
+	if r.Sharded != nil {
+		declareSharded(r, r.Sharded)
+	}
+	if r.Replay != nil {
+		declareReplay(r, r.Replay)
+	}
+}
+
+// faults lists what no baseline excuses: a freshly loaded namespace that
+// does not verify clean, or a replay of the harness's own faithful
+// capture that diverges. passbench exits non-zero on any.
+func (r *report) faults() []string {
+	var out []string
+	if r.Sharded != nil {
+		for _, row := range r.Sharded.Rows {
+			if !row.VerifyClean {
+				out = append(out, fmt.Sprintf("sharded/%s/x%d: namespace does not verify clean", row.Arch, row.Shards))
+			}
+		}
+	}
+	if r.Replay != nil {
+		for _, row := range r.Replay.Rows {
+			if row.Divergences > 0 {
+				out = append(out, fmt.Sprintf("replay/%s/x%d: %d divergences replaying a faithful capture",
+					row.Arch, row.Shards, row.Divergences))
+			}
+		}
+	}
+	return out
+}
+
+// declareTable2 gates the write path: provenance ops per architecture
+// (same scale and seed means the same event stream, so raw ops compare).
+func declareTable2(r *report, t *cost.Table2) {
+	for _, row := range t.Rows {
+		r.gate("table2/provops/"+row.Arch, lower, float64(row.ProvOps))
+	}
+}
+
+// declareTable3 gates the query path: ops per query class and backend,
+// and the result count as an identity (a cheaper query returning other
+// answers is not an improvement).
+func declareTable3(r *report, t *cost.Table3) {
+	for _, row := range t.Rows {
+		key := row.Query + "/" + row.Arch
+		r.gate("table3/ops/"+key, lower, float64(row.Ops))
+		r.gate("table3/results/"+key, equal, float64(row.Results))
+	}
 }
 
 // retryTotals is the stable JSON shape for one architecture's retry
@@ -95,6 +197,50 @@ type retryTotals struct {
 	Recovered int64   `json:"recovered"`
 	Exhausted int64   `json:"exhausted"`
 	WaitMS    float64 `json:"wait_ms"`
+}
+
+// declareRetry gates retry overhead: the simulated region injects no
+// faults during a run, so retries or exhaustions appearing mean the write
+// path started misclassifying errors or re-running work.
+func declareRetry(r *report, retry map[string]retryTotals) {
+	for _, arch := range slices.Sorted(maps.Keys(retry)) {
+		r.gate("retry/retries/"+arch, lower, float64(retry[arch].Retries))
+		r.gate("retry/exhausted/"+arch, lower, float64(retry[arch].Exhausted))
+	}
+}
+
+// declareSharded gates the sharded cost matrix: write and audit ops and
+// dollars, per-query router costs, the query answers as an identity, and
+// that every namespace still verifies clean.
+func declareSharded(r *report, s *cost.ShardedCosts) {
+	r.Config["sharded/shard_counts"] = s.ShardCounts
+	for _, row := range s.Rows {
+		name := fmt.Sprintf("sharded/%s/x%d/", row.Arch, row.Shards)
+		r.gate(name+"provops", lower, float64(row.ProvOps))
+		r.gate(name+"verifyops", lower, float64(row.VerifyOps))
+		r.gate(name+"verifyusd", lower, row.VerifyUSD)
+		r.gate(name+"clean", higher, flag01(row.VerifyClean))
+		for _, q := range row.Queries {
+			r.gate(name+q.Query+"/ops", lower, float64(q.Ops))
+			r.gate(name+q.Query+"/usd", lower, q.USD)
+			r.gate(name+q.Query+"/results", equal, float64(q.Results))
+		}
+	}
+}
+
+// declareReplay gates the replay cost matrix: extraction and re-execution
+// ops and dollars, audit coverage as an identity (it must not silently
+// shrink or grow), and zero divergences.
+func declareReplay(r *report, rc *cost.ReplayCosts) {
+	r.Config["replay/shard_counts"] = rc.ShardCounts
+	for _, row := range rc.Rows {
+		name := fmt.Sprintf("replay/%s/x%d/", row.Arch, row.Shards)
+		r.gate(name+"extractops", lower, float64(row.ExtractOps))
+		r.gate(name+"replayops", lower, float64(row.ReplayOps))
+		r.gate(name+"replayusd", lower, row.ReplayUSD)
+		r.gate(name+"compared", equal, float64(row.Compared))
+		r.gate(name+"divergences", lower, float64(row.Divergences))
+	}
 }
 
 func main() {
@@ -153,7 +299,9 @@ func main() {
 
 	ctx := context.Background()
 	want := func(t string) bool { return *table == "all" || *table == t }
-	rep := &report{Schema: "passbench/v1", Scale: *scale, Seed: *seed, Tool: *tool, QueryCache: *qcacheOn}
+	rep := &report{Schema: "passbench/v2", Config: map[string]any{
+		"scale": *scale, "seed": *seed, "tool": *tool, "query_cache": *qcacheOn,
+	}}
 
 	if want("1") {
 		rows, err := runTable1(ctx, *seed)
@@ -311,11 +459,15 @@ func main() {
 	}
 
 	if *jsonOut {
+		rep.declare()
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(rep); err != nil {
 			log.Fatal(err)
 		}
+	}
+	if faults := rep.faults(); len(faults) > 0 {
+		log.Fatalf("passbench: %s", strings.Join(faults, "; "))
 	}
 }
 

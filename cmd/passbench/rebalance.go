@@ -21,7 +21,7 @@ import (
 // against the frozen pre-migration ring — through the flipped ring. The
 // report carries the pre/post hot-shard op shares, what the migration
 // moved, and what it cost in cloud ops, bytes and January-2009 USD, all
-// gated by benchdiff.
+// gated.
 
 const (
 	rebalanceShards      = 4
@@ -60,6 +60,25 @@ type rebalanceReportJSON struct {
 	Shards      int                `json:"shards"`
 	HotFraction float64            `json:"hot_fraction"`
 	Runs        []rebalanceRunJSON `json:"runs"`
+}
+
+// declare gates the rebalance runs per architecture: the controller must
+// keep splitting the hot shard (none -> split passes, split -> none
+// fails), the post-split hot share must not creep back up, and the
+// migration's own ops and dollars must not grow.
+func (rep *rebalanceReportJSON) declare(r *report) {
+	r.Config["rebalance/writers"] = rep.Writers
+	r.Config["rebalance/batches"] = rep.Batches
+	r.Config["rebalance/seed"] = rep.Seed
+	r.Config["rebalance/shards"] = rep.Shards
+	r.Config["rebalance/hot_fraction"] = rep.HotFraction
+	for _, run := range rep.Runs {
+		name := "rebalance/" + run.Arch + "/"
+		r.gate(name+"split", higher, flag01(run.Action == "split"))
+		r.gate(name+"posthotshare", lower, run.PostHotShare)
+		r.gate(name+"migops", lower, float64(run.MigOps))
+		r.gate(name+"migusd", lower, run.MigUSD)
+	}
 }
 
 // frozenPlacer replays a captured ring assignment: phase-2 names are

@@ -12,11 +12,10 @@ import (
 // SWEEP_SEEDS matrix in CI replays locally byte-for-byte, and the
 // billing meter's propagation windows are deterministic. One stray
 // time.Now or time.Sleep reintroduces the host scheduler into that
-// story and seeded replays stop reproducing. The clock substrate itself
-// (internal/sim, where sim.WallClock bridges to the OS) is the one
-// package allowed to touch the real clock; anything else annotates the
-// call site with an allow directive stating why wall time is the point
-// (e.g. the load harness's wall-latency histograms).
+// story and seeded replays stop reproducing. No library package,
+// internal/sim included, touches the real clock; a call site that needs
+// wall time annotates itself with an allow directive stating why wall
+// time is the point (e.g. the load harness's wall-latency histograms).
 var Simclock = &Analyzer{
 	Name: "simclock",
 	Doc:  "forbid time.Now/time.Sleep/timer use in sim-driven packages; all time flows through sim.Clock",
@@ -41,7 +40,7 @@ var wallClockFuncs = map[string]bool{
 // runSimclock flags wall-clock origination in scope.
 func runSimclock(pass *Pass) error {
 	path := pass.Pkg.Path()
-	if !inLibrary(path) || path == modulePath+"/internal/sim" {
+	if !inLibrary(path) {
 		return nil
 	}
 	for _, f := range pass.Files {

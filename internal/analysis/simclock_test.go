@@ -14,8 +14,8 @@ func TestSimclockFixture(t *testing.T) {
 	analysistest.Run(t, analysis.Simclock, "passcloud/internal/fix/simclock")
 }
 
-// TestSimclockScope proves cmd/... packages are out of scope: demos on
-// wall clocks (cmd/awssim) are legitimate.
+// TestSimclockScope proves cmd/... packages are out of scope: commands
+// sit at the process boundary, where wall time may legitimately originate.
 func TestSimclockScope(t *testing.T) {
 	analysistest.Run(t, analysis.Simclock, "passcloud/cmd/fixscope")
 }

@@ -66,11 +66,3 @@ func (c *VirtualClock) Set(t time.Time) {
 	}
 	c.mu.Unlock()
 }
-
-// WallClock is a Clock backed by the operating system's real time. It is
-// used by long-running demos (cmd/awssim) where manual advancement would be
-// inconvenient.
-type WallClock struct{}
-
-// Now returns the current wall-clock time.
-func (WallClock) Now() time.Time { return time.Now() }
